@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import threading
 import time
@@ -68,7 +69,13 @@ def prepare(axes: dict) -> list[dict]:
 
 
 def drain(port: int, axes: dict, bodies: list[bytes], tracer=None) -> dict:
-    """Submit the job and drain it; returns the timings and the job id."""
+    """Submit the job and drain it; returns the timings and the job id.
+
+    Dirty pages left by earlier rounds (and by preparing the manifests)
+    are flushed first: the journal's fsyncs would otherwise wait on
+    their writeback, by however much happens to be pending.
+    """
+    os.sync()
     lat = {"lease": [], "complete": []}
     errors: list[str] = []
     walls = [0.0] * WORKERS

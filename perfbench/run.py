@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload serve-mix --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload serve-mix --seed 1 --seconds 25 --trace 0
 
 Workloads (see each module's docstring):
 
@@ -14,17 +14,35 @@ Workloads (see each module's docstring):
 ``queue-drain``  a journaled ``mbs-repro serve --state-dir`` coordinator
                  drained by two closed-loop worker connections.
 
+Every workload prints every end-to-end metric, each for its own
+operations (serve-mix | sweep-dense | queue-drain):
+
+``setup_s``           median of five fresh start-ups: spawn to the
+                      warm-up response | interpreter start to
+                      ``repro.api`` imported | spawn to ``/healthz``
+``peak_rss_mb``       ``VmHWM`` of the server and its pool worker | the
+                      sweep interpreter | the coordinator (median)
+``throughput_per_s``  requests | swept points per second of sweeping |
+                      points drained, from submission to last upload
+``fast_p50_ms``, ``fast_p90_ms``
+                      cache hit | swept point (chunk time / points) |
+                      ``POST /v1/lease``
+``slow_p50_ms``, ``slow_p90_ms``
+                      miss | single-point ``price`` |
+                      ``POST /v1/lease/<id>/complete``
+
 The amount of work follows ``--seconds`` deterministically (never the
 clock), so every count a run records repeats exactly for a given
 ``--seed`` and ``--seconds``; each run checks its counts against the
 values its inputs predict.  Correctness checks run outside the timed
 window.
 
-``--trace 0`` prints the end-to-end metrics; ``--trace 1`` runs the
-same inputs twice in one process-hosted configuration, untraced and
-traced, and prints the per-layer split (:mod:`tracing`).  The last
-line of standard output is one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``.
+``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs the
+same inputs untraced, traced and untraced again, with the server
+hosted in this process (``workers=0``, so the wrappers see pricing;
+sweep-dense keeps its child interpreter), and prints the per-layer
+split (:mod:`tracing`).  The last line of standard output is one JSON
+object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""sweep-dense: the Fig. 11 / ``energy_sweep`` buffer design-space sweep.
+"""sweep-dense: the ``energy_sweep`` buffer design-space sweep, dense.
 
 Each sweep prices ``inception_v4`` under ``mbs-auto`` at 256
 log-spaced buffers from 16 KiB to 4 MiB, cold: a freshly built network
@@ -10,15 +10,15 @@ points one at a time, the way ``mbs-repro schedule`` does.  The whole
 job runs in a child interpreter (:mod:`sweep_child`); the generator
 only starts it and hands it the generated inputs.
 
-The sweeps alternate the ``energy`` objective (``energy_sweep``) and
-the paper's ``traffic`` objective (Fig. 11), in seeded order.  The
-seed also draws which grid point each single price takes: for every
-objective, one point from each of ``PRICES_PER_OBJECTIVE`` equal slices
-of the buffer range.  Network, swept objectives and slices are fixed
-because a point's cost depends on all three (a chunk of the traffic
-sweep costs 27-51 ms per point across the range; a single energy price
-52-178 ms), so seeding them would make runs of different seeds
-incomparable.
+Every sweep optimises the ``energy`` objective (the ``energy_sweep``
+artifact).  The single prices cover all four objectives, at
+``PRICES_PER_OBJECTIVE`` evenly spaced grid positions each; the seed
+moves each point up to ``JITTER - 1`` grid steps (2.2% of buffer per
+step) off its position and shuffles the order of the prices.  Network,
+objective and positions are fixed because a point's cost depends on
+all three (a chunk of a traffic sweep costs 27-51 ms per point across
+the range, a single energy price 52-178 ms), so seeding them would make
+runs of different seeds incomparable.
 
 Fast operation: one swept point (a chunk's time per point).  Slow
 operation: one single-point ``price``.  Throughput: swept points per
@@ -29,7 +29,7 @@ second of sweep time.
 sweep's canonical wire bytes, its memo hit/miss counts and each
 point's own digest.  Every run checks its sweeps and its single-point
 prices against it exactly, so a single price equals the swept point
-(the swept == per-point invariant) whichever objectives were swept.
+(the swept == per-point invariant) for every objective.
 """
 from __future__ import annotations
 
@@ -44,24 +44,23 @@ import tracing
 
 NETWORK = "inception_v4"
 OBJECTIVES = ("traffic", "latency", "latency+traffic", "energy")
-SWEPT = ("energy", "traffic")
+SWEPT = "energy"
 BUFFERS = sorted({round(16 * 1024 * 256 ** (i / 255)) for i in range(256)})
 CHUNK = 8
 #: One cold 256-point sweep, with its share of the single prices.
 SECONDS_PER_SWEEP = 10.0
 PRICES_PER_OBJECTIVE = 16
+JITTER = 4
 SETUP_STARTS = 5
 EXPECTED = common.HERE / "expected_sweeps.json"
 
 
 def make_job(seed: int, seconds: float) -> dict:
     rng = random.Random(seed)
-    order = rng.sample(SWEPT, len(SWEPT))
-    sweeps = [{"network": NETWORK, "objective": order[i % len(order)],
-               "buffers": BUFFERS}
-              for i in range(max(1, round(seconds / SECONDS_PER_SWEEP)))]
-    stratum = len(BUFFERS) // PRICES_PER_OBJECTIVE
-    points = [(objective, k * stratum + rng.randrange(stratum))
+    sweeps = [{"network": NETWORK, "objective": SWEPT, "buffers": BUFFERS}
+              for _ in range(max(1, round(seconds / SECONDS_PER_SWEEP)))]
+    stride = len(BUFFERS) // PRICES_PER_OBJECTIVE
+    points = [(objective, k * stride + rng.randrange(JITTER))
               for objective in OBJECTIVES
               for k in range(PRICES_PER_OBJECTIVE)]
     rng.shuffle(points)
