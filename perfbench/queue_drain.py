@@ -39,7 +39,7 @@ BUFFERS_MIB = 48
 BATCH = 4
 WORKERS = 2
 #: Drain rounds per second of ``--seconds``.
-ROUNDS_PER_SECOND = 0.12
+ROUNDS_PER_SECOND = 0.08
 SETUP_STARTS = 5
 
 

@@ -81,8 +81,8 @@ def traced_result(*, attempted, failed, problems, layers, counts,
     """The ``--trace 1`` result: every per-layer metric.
 
     A layer or counter the workload bypasses reads 0.  The overhead is
-    the traced pass's wall time against an untraced pass of the same
-    stream in the same configuration.
+    the traced pass's wall time against ``plain_wall``, the mean of
+    the untraced passes of the same inputs run before and after it.
     """
     metrics = {}
     for name, value in layers.items():
