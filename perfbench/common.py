@@ -253,7 +253,8 @@ class Client:
         body = None if payload is None else json.dumps(payload).encode()
         status, data = self.call(method, path, body)
         if status != 200:
-            raise RuntimeError(f"{method} {path}: HTTP {status}: {data[:200]!r}")
+            raise RuntimeError(
+                f"{method} {path}: HTTP {status}: {data[:200]!r}")
         return json.loads(data)
 
     def close(self) -> None:

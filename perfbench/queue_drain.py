@@ -254,7 +254,7 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
 
 
 def _in_process_round(axes, canon, bodies, tracer=None):
-    """One round on a coordinator hosted in this process, as serve builds it."""
+    """One round on an in-process coordinator, built as serve builds it."""
     import repro.experiments  # noqa: F401  (registers the specs)
     from repro.runtime.cache import ResultCache
     from repro.runtime.journal import Journal
