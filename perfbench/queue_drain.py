@@ -1,13 +1,15 @@
-"""queue-drain: a journaled coordinator drained by two worker connections.
+"""queue-drain: a journaled coordinator drained by one worker connection.
 
 Each round starts a fresh ``mbs-repro serve --state-dir D --cache-dir C``
 (new directories), submits one ``fig3`` job over ``POST /v1/jobs`` on
 the artifact's integer axes ``mini_batch`` x ``buffer_mib`` (network
-fixed to ``resnet50``), and two closed-loop worker connections lease
-batches of ``BATCH`` points and upload one manifest per point until
-nothing is pending.  Nothing is priced: the manifests are the ones the
-ordinary sweep runtime produces for those points, prepared before
-anything is timed (and kept, content-addressed, under
+fixed to ``resnet50``), and one closed-loop worker connection leases
+batches of ``BATCH`` points and uploads one manifest per point until
+nothing is pending.  With one request in flight, at most one process
+is busy at a time, so the figures do not depend on how a two-vCPU host
+schedules competing threads.  Nothing is priced: the manifests are the
+ones the ordinary sweep runtime produces for those points, prepared
+before anything is timed (and kept, content-addressed, under
 ``.perfbench-tmp/prepared`` for later runs).
 
 The seed draws the job grid: which ``mini_batch`` and ``buffer_mib``
@@ -26,7 +28,6 @@ import json
 import math
 import os
 import random
-import threading
 import time
 
 import common
@@ -37,7 +38,6 @@ AXIS_VALUES = range(1, 65)
 MINI_BATCHES = 32
 BUFFERS_MIB = 48
 BATCH = 4
-WORKERS = 2
 #: Drain rounds per second of ``--seconds``.
 ROUNDS_PER_SECOND = 0.08
 SETUP_STARTS = 5
@@ -78,28 +78,11 @@ def drain(port: int, axes: dict, bodies: list[bytes], tracer=None) -> dict:
     os.sync()
     lat = {"lease": [], "complete": []}
     errors: list[str] = []
-    walls = [0.0] * WORKERS
-    lock = threading.Lock()
     submit = json.dumps({"schema": 1, "artifact": ARTIFACT,
                          "axes": axes}).encode()
-    submitter = common.Client(port)
-    start = time.perf_counter()
-    token = None
-    if tracer is not None:
-        token = tracing.set_rid("submit")
-        tracer.expect("submit", "submit")
-    status, data = submitter.call("POST", "/v1/jobs", submit)
-    submit_s = time.perf_counter() - start
-    if tracer is not None:
-        tracer.spans.append(("serve.server.self", start, start + submit_s,
-                             "submit"))
-        tracing.reset_rid(token)
-    submitter.close()
-    if status != 200:
-        raise RuntimeError(f"POST /v1/jobs: HTTP {status}: {data[:200]!r}")
-    job_id = json.loads(data)["job_id"]
+    client = common.Client(port)
 
-    def call(client, kind, path, body, key, rid):
+    def call(kind, path, body, key, rid):
         token = None
         if tracer is not None:
             token = tracing.set_rid(rid)
@@ -110,42 +93,37 @@ def drain(port: int, axes: dict, bodies: list[bytes], tracer=None) -> dict:
         if tracer is not None:
             tracer.spans.append(("serve.server.self", t0, t1, rid))
             tracing.reset_rid(token)
-        with lock:
+        if kind is not None:
             lat[kind].append(t1 - t0)
-            if status != 200:
-                errors.append(f"{path}: HTTP {status}: {data[:120]!r}")
+        if status != 200:
+            errors.append(f"{path}: HTTP {status}: {data[:120]!r}")
         return status, data
 
-    def worker(w):
-        client = common.Client(port)
-        name = f"w{w}"
-        lease = json.dumps({"schema": 1, "worker": name, "max_points": BATCH,
-                            "job": job_id}).encode()
-        t0 = time.perf_counter()
+    try:
+        start = time.perf_counter()
+        status, data = call(None, "/v1/jobs", submit, "submit", "submit")
+        if status != 200:
+            raise RuntimeError(errors[0])
+        job_id = json.loads(data)["job_id"]
+        lease = json.dumps({"schema": 1, "worker": "w0",
+                            "max_points": BATCH, "job": job_id}).encode()
         n = 0
         while True:
             n += 1
-            status, data = call(client, "lease", "/v1/lease", lease,
-                                f"lease:{name}", (name, n))
+            status, data = call("lease", "/v1/lease", lease, "lease:w0",
+                                ("w0", n))
             grant = json.loads(data).get("lease") if status == 200 else None
             if grant is None:
                 break
             for point in grant["points"]:
                 i = point["index"]
-                call(client, "complete",
-                     f"/v1/lease/{grant['lease_id']}/complete", bodies[i],
-                     f"complete:{i}", ("complete", i))
-        walls[w] = time.perf_counter() - t0
+                call("complete", f"/v1/lease/{grant['lease_id']}/complete",
+                     bodies[i], f"complete:{i}", ("complete", i))
+        seconds = time.perf_counter() - start
+    finally:
         client.close()
-
-    threads = [threading.Thread(target=worker, args=(w,))
-               for w in range(WORKERS)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return {"job_id": job_id, "seconds": time.perf_counter() - start,
-            "lat": lat, "errors": errors, "client_s": submit_s + sum(walls)}
+    return {"job_id": job_id, "seconds": seconds, "lat": lat,
+            "errors": errors}
 
 
 def check_round(port, job_id, canon: list[str]) -> tuple[list[str], dict]:
@@ -307,8 +285,8 @@ def run_traced(axes, canon, bodies) -> dict:
         failed=sum(len(out["errors"]) for out, _, _ in plain)
         + len(traced["errors"]),
         problems=problems,
-        layers=tracer.report(traced["client_s"]), counts=counts,
+        layers=tracer.report(traced["seconds"]), counts=counts,
         plain_wall=sum(out["seconds"] for out, _, _ in plain) / 2,
         traced_wall=traced["seconds"],
-        config="coordinator in-process, workers=0, one round",
+        config="coordinator in-process, workers=0, one round, one connection",
     )

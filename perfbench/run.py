@@ -6,16 +6,18 @@ Run from the root of a checkout::
 
 Workloads (see each module's docstring):
 
-``serve-mix``    ``mbs-repro serve`` under two closed-loop keep-alive
-                 clients sending a seeded mix of cache hits and misses.
+``serve-mix``    ``mbs-repro serve`` under one closed-loop keep-alive
+                 client sending a seeded mix of cache hits and misses.
 ``sweep-dense``  cold 256-point ``repro.api.sweep`` buffer sweeps plus
                  single-point ``repro.api.price`` calls, in a child
                  interpreter.
 ``queue-drain``  a journaled ``mbs-repro serve --state-dir`` coordinator
-                 drained by two closed-loop worker connections.
+                 drained by one closed-loop worker connection.
 
-Every workload prints every end-to-end metric, each for its own
-operations (serve-mix | sweep-dense | queue-drain):
+Every workload keeps at most one process busy at a time, so that on a
+host with few cores the figures measure the program, not the
+scheduler.  Every workload prints every end-to-end metric, each for
+its own operations (serve-mix | sweep-dense | queue-drain):
 
 ``setup_s``           median of five fresh start-ups: spawn to the
                       warm-up response | interpreter start to
@@ -25,7 +27,8 @@ operations (serve-mix | sweep-dense | queue-drain):
 ``throughput_per_s``  requests | swept points per second of sweeping |
                       points drained, from submission to last upload
 ``fast_p50_ms``, ``fast_p90_ms``
-                      cache hit | swept point (chunk time / points) |
+                      cache hit (per network, averaged over networks) |
+                      swept point (chunk time / points) |
                       ``POST /v1/lease``
 ``slow_p50_ms``, ``slow_p90_ms``
                       miss | single-point ``price`` |
