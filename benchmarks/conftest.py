@@ -1,22 +1,23 @@
 """Benchmark configuration.
 
-Each paper table/figure has one benchmark that regenerates it end to end
-(timed with a single round — these are full experiment sweeps), plus
-micro-benchmarks for the hot kernels (traffic model, cycle model,
-grouping optimizer, conv kernels) and the orchestration runtime
-(bench_runtime.py: cache hits, key hashing, pool spin-up) that run with
-normal statistics.
+Micro-benchmarks for the hot kernels (traffic model, cycle model,
+grouping optimizer, conv kernels), the scheduler, the server, the cache
+and the work queue, plus the orchestration runtime (bench_runtime.py:
+cache hits, key hashing, pool spin-up).  Cold per-artifact timings are
+``mbs-repro bench``'s job.
 
-CI runs bench_micro_kernels.py on every push and uploads the
-``--benchmark-json`` output as a workflow artifact (see
-``.github/workflows/ci.yml``, job ``bench-smoke``).
+CI's ``bench-gate`` job gates the scheduler, micro-kernel, serve, cache
+and queue suites against ``benchmarks/baselines.json``; ``bench-smoke``
+uploads raw ``--benchmark-json`` numbers (see
+``.github/workflows/ci.yml``).
 """
 import pytest
 
 
 @pytest.fixture()
 def once(benchmark):
-    """Run a heavy experiment exactly once under the benchmark timer."""
+    """Run ``fn`` exactly once under the benchmark timer (one round, for
+    calls too slow or too stateful to repeat, like a pool spin-up)."""
 
     def run(fn, *args, **kwargs):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs,

@@ -20,16 +20,25 @@ fi
 echo "== tests =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q
 
+# cli ARGS... runs the mbs-repro CLI of this checkout.  Started with `&`
+# it runs in a subshell, which execs python so that $! is the CLI's own
+# PID and the kill / kill -9 below reach the server, not a wrapper.
+cli() {
+    local path=src${PYTHONPATH:+:$PYTHONPATH}
+    if [[ $BASHPID != "$$" ]]; then
+        PYTHONPATH=$path exec python -m repro.experiments.runner "$@"
+    fi
+    PYTHONPATH=$path python -m repro.experiments.runner "$@"
+}
+
 if [[ $fast -eq 0 ]]; then
     echo "== smoke: mbs-repro all --jobs 2 (fresh cache) =="
     smoke_dir=$(mktemp -d)
     trap 'rm -rf "$smoke_dir"' EXIT
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner all --jobs 2 --summary \
+    cli all --jobs 2 --summary \
         --cache-dir "$smoke_dir/cache" --out "$smoke_dir/manifests"
     echo "== smoke: replay + diff (--render-from-cache) =="
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner all --render-from-cache --summary \
+    cli all --render-from-cache --summary \
         --cache-dir "$smoke_dir/cache" --out "$smoke_dir/manifests"
 
     # wait_coord LOG PID -> echoes the coordinator URL once it listens
@@ -47,31 +56,24 @@ if [[ $fast -eq 0 ]]; then
 
     echo "== smoke: queued sweep (coordinator + 2 workers + merge --check) =="
     serve_log="$smoke_dir/serve.log"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner serve --port 0 \
+    cli serve --port 0 \
         --cache-dir "$smoke_dir/queue-cache" >"$serve_log" 2>&1 &
     serve_pid=$!
     trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
     coord=$(wait_coord "$serve_log" "$serve_pid")
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
+    cli submit-sweep fig3 --quick \
         --coordinator "$coord"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord" \
+    cli work --coordinator "$coord" \
         --cache-dir "$smoke_dir/worker-a-cache" &
     worker_pid=$!
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord" \
+    cli work --coordinator "$coord" \
         --cache-dir "$smoke_dir/worker-b-cache"
     wait "$worker_pid"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
+    cli submit-sweep fig3 --quick \
         --coordinator "$coord" --wait --out "$smoke_dir/queue-manifests"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner sweep fig3 --quick \
+    cli sweep fig3 --quick \
         --cache-dir "$smoke_dir/ref-cache" --out "$smoke_dir/ref-manifests"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner merge "$smoke_dir/queue-manifests" \
+    cli merge "$smoke_dir/queue-manifests" \
         --out "$smoke_dir/merged" --check "$smoke_dir/ref-manifests"
     kill "$serve_pid" 2>/dev/null || true
 
@@ -80,26 +82,22 @@ if [[ $fast -eq 0 ]]; then
     # state dir, finish the drain, and re-check byte-identity
     state_dir="$smoke_dir/state"
     serve2_log="$smoke_dir/serve2.log"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner serve --port 0 \
+    cli serve --port 0 \
         --state-dir "$state_dir" \
         --cache-dir "$smoke_dir/restart-cache" >"$serve2_log" 2>&1 &
     serve2_pid=$!
     trap 'kill "$serve_pid" "$serve2_pid" 2>/dev/null || true; \
         rm -rf "$smoke_dir"' EXIT
     coord2=$(wait_coord "$serve2_log" "$serve2_pid")
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
+    cli submit-sweep fig3 --quick \
         --coordinator "$coord2"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord2" \
+    cli work --coordinator "$coord2" \
         --max-leases 1 --batch 2 \
         --cache-dir "$smoke_dir/worker-c-cache"
     kill -9 "$serve2_pid" 2>/dev/null || true
     wait "$serve2_pid" 2>/dev/null || true
     serve3_log="$smoke_dir/serve3.log"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner serve --port 0 \
+    cli serve --port 0 \
         --state-dir "$state_dir" \
         --cache-dir "$smoke_dir/restart-cache" >"$serve3_log" 2>&1 &
     serve3_pid=$!
@@ -109,14 +107,11 @@ if [[ $fast -eq 0 ]]; then
     grep -q "restored 1 job(s)" "$serve3_log" || {
         echo "restarted coordinator did not restore the job:";
         cat "$serve3_log"; exit 1; }
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord3" \
+    cli work --coordinator "$coord3" \
         --cache-dir "$smoke_dir/worker-d-cache"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
+    cli submit-sweep fig3 --quick \
         --coordinator "$coord3" --wait --out "$smoke_dir/restart-manifests"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner merge \
+    cli merge \
         "$smoke_dir/restart-manifests" --out "$smoke_dir/restart-merged" \
         --check "$smoke_dir/ref-manifests"
     kill "$serve3_pid" 2>/dev/null || true

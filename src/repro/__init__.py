@@ -15,8 +15,9 @@ The deeper entry points (:func:`repro.core.make_schedule`,
 :func:`repro.core.compute_traffic`) remain importable but only
 :mod:`repro.api` carries the stability promise.
 
-See README.md for a tour and EXPERIMENTS.md for paper-vs-measured
-results on every table and figure.
+``mbs-repro all`` (:mod:`repro.experiments.runner`) regenerates every
+table and figure of the paper; ``docs/`` covers the scheduler, the
+result cache, the server and the sweep queue.
 """
 from repro import api
 from repro.core import compute_traffic, make_schedule

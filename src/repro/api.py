@@ -25,14 +25,11 @@ request (what ``POST /v1/schedule`` carries), :class:`ScheduleResult`
 the wire-level response (what ``--json`` prints); both are frozen
 dataclasses with explicit ``to_wire``/``from_wire`` codecs.
 
-Keyword renames vs the internal spellings (``make_schedule``'s
-``net=`` is ``network=`` here, its ``cfg=`` is ``hardware=``) are
-shimmed: the old spellings still work but emit a one-time
-``DeprecationWarning``.
+The facade spells ``make_schedule``'s ``net=`` as ``network=`` and
+its ``cfg=`` as ``hardware=``.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -75,11 +72,6 @@ __all__ = [
 
 #: Wire-schema version shared by ScheduleRequest/ScheduleResult.
 SCHEMA_VERSION = 1
-
-#: Internal keyword spellings the facade renamed; passing one still
-#: works but warns once per process (satellite: deprecation shims).
-_RENAMED_KWARGS = {"net": "network", "cfg": "hardware"}
-_warned_kwargs: set[str] = set()
 
 
 def policies() -> tuple[str, ...]:
@@ -581,29 +573,6 @@ class SweepJobStatus:
 # the facade calls
 # ---------------------------------------------------------------------------
 
-def _apply_renamed_kwargs(kwargs: dict[str, Any],
-                          given: dict[str, Any]) -> dict[str, Any]:
-    """Map deprecated internal spellings onto the facade's, warn once."""
-    for old, new in _RENAMED_KWARGS.items():
-        if old not in kwargs:
-            continue
-        if given.get(new) is not None:
-            raise TypeError(
-                f"got both {new!r} and its deprecated spelling {old!r}"
-            )
-        if old not in _warned_kwargs:
-            _warned_kwargs.add(old)
-            warnings.warn(
-                f"keyword {old!r} is deprecated on the repro.api facade; "
-                f"use {new!r}",
-                DeprecationWarning, stacklevel=3,
-            )
-        given[new] = kwargs.pop(old)
-    if kwargs:
-        raise TypeError(f"unexpected keyword argument(s) {sorted(kwargs)}")
-    return given
-
-
 def _coerce_network(network: Network | str | Mapping | ScheduleRequest,
                     ) -> tuple[Network, str | None]:
     """Accept a Network, zoo name, or wire dict; return (net, zoo name)."""
@@ -668,7 +637,7 @@ def _evaluate(
 
 
 def price(
-    network: Network | str | Mapping | ScheduleRequest | None = None,
+    network: Network | str | Mapping | ScheduleRequest,
     policy: str = "mbs-auto",
     *,
     buffer_bytes: int = DEFAULT_BUFFER_BYTES,
@@ -677,7 +646,6 @@ def price(
     relu_mask: bool | str | None = None,
     word_bytes: int = WORD_BYTES,
     hardware: WaveCoreConfig | None = None,
-    **deprecated: Any,
 ) -> ScheduleResult:
     """Build and price one schedule; the single source of truth.
 
@@ -691,12 +659,6 @@ def price(
     simulated, so the CLI, this facade, and the HTTP server agree
     bit-for-bit.
     """
-    kwargs = _apply_renamed_kwargs(deprecated, {
-        "network": network, "hardware": hardware,
-    })
-    network, hardware = kwargs["network"], kwargs["hardware"]
-    if network is None:
-        raise TypeError("price() missing required argument: 'network'")
     if isinstance(network, ScheduleRequest):
         req = network
         return price(
@@ -720,7 +682,7 @@ def price(
 
 
 def sweep(
-    network: Network | str | Mapping | None = None,
+    network: Network | str | Mapping,
     policy: str = "mbs-auto",
     buffer_sizes: Sequence[int] = (),
     *,
@@ -730,7 +692,6 @@ def sweep(
     word_bytes: int = WORD_BYTES,
     hardware: WaveCoreConfig | None = None,
     caches: SweepCaches | None = None,
-    **deprecated: Any,
 ) -> list[ScheduleResult]:
     """Price one schedule per buffer size through the batch sweep engine.
 
@@ -740,12 +701,6 @@ def sweep(
     an order of magnitude faster for dense ``mbs-auto`` sweeps.  Pass
     ``caches`` to read the memo hit/miss counters afterwards.
     """
-    kwargs = _apply_renamed_kwargs(deprecated, {
-        "network": network, "hardware": hardware,
-    })
-    network, hardware = kwargs["network"], kwargs["hardware"]
-    if network is None:
-        raise TypeError("sweep() missing required argument: 'network'")
     if not buffer_sizes:
         raise ValueError("sweep() needs at least one buffer size")
     net, _ = _coerce_network(network)
@@ -816,7 +771,3 @@ def degraded_result(req: ScheduleRequest,
     )
     return _evaluate(net, sched, cfg, degraded=True)
 
-
-def _reset_deprecation_warnings() -> None:
-    """Test hook: make the warn-once shims warn again."""
-    _warned_kwargs.clear()

@@ -8,9 +8,9 @@ registry at import time.  The ``mbs-repro`` console script
 through the :mod:`repro.runtime` pool/cache engine.
 
 Import order below defines the canonical experiment ordering (the
-registry preserves registration order).  ``ALL_EXPERIMENTS`` is kept as
-a name → module compatibility view of the registry for callers that
-still dispatch to ``module.main(argv)`` directly.
+registry preserves registration order).  ``ALL_EXPERIMENTS`` maps each
+registered artifact name to its driver module in that order; the CLI's
+``all``/``bench``/``list`` and ``export`` iterate it.
 """
 import sys
 

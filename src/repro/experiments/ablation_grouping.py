@@ -56,10 +56,6 @@ def render(res: dict) -> None:
     ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="ablation",
     title="Footnote-1 ablation — greedy vs exhaustive layer grouping",
@@ -68,7 +64,3 @@ SPEC = register(ExperimentSpec(
     sweep={"buffer_bytes": (5 * MIB, 10 * MIB, 20 * MIB)},
     artifact=("rows",),
 ))
-
-
-if __name__ == "__main__":
-    main()

@@ -60,10 +60,6 @@ def render(res: dict) -> None:
     ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="precision",
     title="Precision ablation — fp16 vs fp32 storage word size",
@@ -72,7 +68,3 @@ SPEC = register(ExperimentSpec(
     sweep={"buffer_bytes": (5 * MIB, 10 * MIB, 20 * MIB)},
     artifact=("rows",),
 ))
-
-
-if __name__ == "__main__":
-    main()

@@ -143,10 +143,6 @@ def render(res: dict) -> None:
     ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="energy_sweep",
     title="Energy sweep — step energy vs buffer size, energy objective",
@@ -156,7 +152,3 @@ SPEC = register(ExperimentSpec(
     sweep={"net_name": ("resnet50", "resnet101", "inception_v3")},
     artifact=("network", "buffers_mib", "cells", "savings", "dominance"),
 ))
-
-
-if __name__ == "__main__":
-    main()

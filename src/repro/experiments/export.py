@@ -1,21 +1,15 @@
 """JSON export of all experiment artifacts.
 
 ``mbs-repro export results.json`` serializes every registered spec's
-``run()`` output so EXPERIMENTS.md numbers can be regenerated and
-diffed.  Export rides on the :mod:`repro.runtime` engine: results come
-from the content-addressed cache when available and the misses can be
-fanned out across workers with ``jobs``.
+``run()`` output into one file, so the reproduced numbers can be
+regenerated and diffed.  Export rides on the :mod:`repro.runtime`
+engine: results come from the content-addressed cache when available
+and the misses can be fanned out across workers with ``jobs``.
 """
 from __future__ import annotations
 
 import json
 from typing import Any
-
-from repro.runtime.serialize import jsonify
-
-#: backwards-compatible alias — the canonical converter moved into the
-#: runtime so cache manifests and exports share one encoding.
-_jsonify = jsonify
 
 
 def export_all(
@@ -44,13 +38,3 @@ def export_all(
     with open(path, "w") as fh:
         json.dump(results, fh, indent=1, default=repr)
     return results
-
-
-def main(argv: list[str] | None = None) -> None:
-    argv = argv or ["results.json"]
-    results = export_all(argv[0])
-    print(f"wrote {len(results)} experiment results to {argv[0]}")
-
-
-if __name__ == "__main__":
-    main()

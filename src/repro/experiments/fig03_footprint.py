@@ -51,10 +51,6 @@ def render(res: dict) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="fig3",
     title="Fig. 3 — per-layer footprint and reusable fraction",
@@ -67,7 +63,3 @@ SPEC = register(ExperimentSpec(
     },
     artifact=("network", "mini_batch", "layers", "reusable_fraction"),
 ))
-
-
-if __name__ == "__main__":
-    main()

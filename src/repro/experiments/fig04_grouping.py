@@ -89,10 +89,6 @@ def render(res: dict) -> None:
         )
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="fig4",
     title="Fig. 4/5 — per-block footprint, min iterations, MBS grouping",
@@ -104,7 +100,3 @@ SPEC = register(ExperimentSpec(
     },
     artifact=("network", "mini_batch", "blocks", "groups"),
 ))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,7 +1,7 @@
 """Fig. 6: training effectiveness of GN+MBS vs BN (vs no normalization).
 
 The paper trains ResNet-50 on ImageNet; we substitute a synthetic
-classification task and a deep toy CNN (see DESIGN.md) — the *relative*
+classification task and a deep toy CNN (``toy_chain``) — the *relative*
 claims carry over: (1) GN+MBS and BN reach the same accuracy, (2) MBS
 sub-batching with GN computes bit-identical gradients to full-batch
 execution, (3) un-normalized training visibly lags, and (4) normalized
@@ -89,11 +89,6 @@ def render(res: dict) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    quick = argv is not None and "--quick" in argv
-    render(run(**SPEC.quick) if quick else run())
-
-
 SPEC = register(ExperimentSpec(
     name="fig6",
     title="Fig. 6 — GN+MBS vs BN training effectiveness",
@@ -103,7 +98,3 @@ SPEC = register(ExperimentSpec(
     sweep={"sub_batch": (2, 4, 8), "seed": (3, 4)},
     artifact=("curves", "gradient_equivalence"),
 ))
-
-
-if __name__ == "__main__":
-    main()

@@ -26,61 +26,49 @@ def run(networks: tuple[str, ...] = PAPER_NETWORKS,
     return {"grid": grid, "policies": POLICIES, "memory": memory}
 
 
-def render(res: dict, metrics: list[str] | None = None) -> None:
-    metrics = metrics or ["time", "energy", "traffic"]
+def render(res: dict) -> None:
     grid = res["grid"]
 
-    if "time" in metrics:
-        rows = []
-        for net, cells in grid.items():
-            base = cells["baseline"]["time_s"]
-            arch = cells["archopt"]["time_s"]
-            rows.append(
-                [net]
-                + [f"{cells[p]['time_s'] * 1e3:7.1f}" for p in POLICIES]
-                + [fmt(base / cells["mbs2"]["time_s"]),
-                   fmt(arch / cells["mbs2"]["time_s"])]
-            )
-        print(format_table(
-            ["network"] + [f"{p} ms" for p in POLICIES]
-            + ["mbs2 vs base", "mbs2 vs archopt"],
-            rows, title="Fig. 10a — execution time per training step"))
-        print()
+    rows = []
+    for net, cells in grid.items():
+        base = cells["baseline"]["time_s"]
+        arch = cells["archopt"]["time_s"]
+        rows.append(
+            [net]
+            + [f"{cells[p]['time_s'] * 1e3:7.1f}" for p in POLICIES]
+            + [fmt(base / cells["mbs2"]["time_s"]),
+               fmt(arch / cells["mbs2"]["time_s"])]
+        )
+    print(format_table(
+        ["network"] + [f"{p} ms" for p in POLICIES]
+        + ["mbs2 vs base", "mbs2 vs archopt"],
+        rows, title="Fig. 10a — execution time per training step"))
+    print()
 
-    if "energy" in metrics:
-        rows = []
-        for net, cells in grid.items():
-            base = cells["baseline"]["energy_j"]
-            rows.append(
-                [net]
-                + [f"{cells[p]['energy_j']:.2f}" for p in POLICIES]
-                + [fmt(cells["mbs2"]["energy_j"] / base)]
-            )
-        print(format_table(
-            ["network"] + [f"{p} J" for p in POLICIES] + ["mbs2/base"],
-            rows, title="Fig. 10b — energy per training step"))
-        print()
+    rows = []
+    for net, cells in grid.items():
+        base = cells["baseline"]["energy_j"]
+        rows.append(
+            [net]
+            + [f"{cells[p]['energy_j']:.2f}" for p in POLICIES]
+            + [fmt(cells["mbs2"]["energy_j"] / base)]
+        )
+    print(format_table(
+        ["network"] + [f"{p} J" for p in POLICIES] + ["mbs2/base"],
+        rows, title="Fig. 10b — energy per training step"))
+    print()
 
-    if "traffic" in metrics:
-        rows = []
-        for net, cells in grid.items():
-            arch = cells["archopt"]["dram_bytes"]
-            rows.append(
-                [net]
-                + [gib(cells[p]["dram_bytes"]) for p in POLICIES]
-                + [fmt(cells["mbs2"]["dram_bytes"] / arch)]
-            )
-        print(format_table(
-            ["network"] + [f"{p} GiB" for p in POLICIES] + ["mbs2/archopt"],
-            rows, title="Fig. 10c — DRAM traffic per training step (per core)"))
-
-
-def main(argv: list[str] | None = None) -> None:
-    argv = argv or []
-    metrics = None
-    if "--metric" in argv:
-        metrics = [argv[argv.index("--metric") + 1]]
-    render(run(), metrics)
+    rows = []
+    for net, cells in grid.items():
+        arch = cells["archopt"]["dram_bytes"]
+        rows.append(
+            [net]
+            + [gib(cells[p]["dram_bytes"]) for p in POLICIES]
+            + [fmt(cells["mbs2"]["dram_bytes"] / arch)]
+        )
+    print(format_table(
+        ["network"] + [f"{p} GiB" for p in POLICIES] + ["mbs2/archopt"],
+        rows, title="Fig. 10c — DRAM traffic per training step (per core)"))
 
 
 SPEC = register(ExperimentSpec(
@@ -91,7 +79,3 @@ SPEC = register(ExperimentSpec(
     sweep={"memory": ("HBM2", "HBM2x2", "GDDR5", "LPDDR4")},
     artifact=("grid", "policies", "memory"),
 ))
-
-
-if __name__ == "__main__":
-    main()

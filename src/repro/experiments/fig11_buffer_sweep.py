@@ -66,10 +66,6 @@ def render(res: dict) -> None:
         print()
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="fig11",
     title="Fig. 11 — time and traffic vs global buffer size",
@@ -78,7 +74,3 @@ SPEC = register(ExperimentSpec(
     sweep={"net_name": ("resnet50", "resnet101", "inception_v3")},
     artifact=("network", "cells", "normalized"),
 ))
-
-
-if __name__ == "__main__":
-    main()

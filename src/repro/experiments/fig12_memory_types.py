@@ -47,10 +47,6 @@ def render(res: dict) -> None:
     ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="fig12",
     title="Fig. 12 — memory-type sensitivity with per-kind breakdown",
@@ -59,7 +55,3 @@ SPEC = register(ExperimentSpec(
     sweep={"net_name": ("resnet50", "inception_v3")},
     artifact=("network", "cells", "speedup"),
 ))
-
-
-if __name__ == "__main__":
-    main()

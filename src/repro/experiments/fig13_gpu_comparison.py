@@ -45,10 +45,6 @@ def render(res: dict) -> None:
     ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="fig13",
     title="Fig. 13 — V100 vs WaveCore+MBS2 across memory types",
@@ -56,7 +52,3 @@ SPEC = register(ExperimentSpec(
     render=render,
     artifact=("rows",),
 ))
-
-
-if __name__ == "__main__":
-    main()

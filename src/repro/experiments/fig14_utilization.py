@@ -36,10 +36,6 @@ def render(res: dict) -> None:
           "mbs-fs 0.667, mbs1/mbs2 0.786")
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="fig14",
     title="Fig. 14 — systolic-array utilization, unlimited DRAM bandwidth",
@@ -47,7 +43,3 @@ SPEC = register(ExperimentSpec(
     render=render,
     artifact=("grid", "average"),
 ))
-
-
-if __name__ == "__main__":
-    main()

@@ -77,10 +77,6 @@ def render(res: dict) -> None:
     ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="headline",
     title="Headline — abstract's traffic / speedup / energy averages",
@@ -88,7 +84,3 @@ SPEC = register(ExperimentSpec(
     render=render,
     artifact=("per_network", "average"),
 ))
-
-
-if __name__ == "__main__":
-    main()

@@ -131,10 +131,6 @@ def render(res: dict) -> None:
     ))
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="latency_sweep",
     title="Latency sweep — step time vs buffer size, both objectives",
@@ -144,7 +140,3 @@ SPEC = register(ExperimentSpec(
     sweep={"net_name": ("resnet50", "resnet101", "inception_v3")},
     artifact=("network", "buffers_mib", "cells", "normalized", "divergence"),
 ))
-
-
-if __name__ == "__main__":
-    main()

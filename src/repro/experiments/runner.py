@@ -28,6 +28,8 @@ Subcommands::
     mbs-repro fingerprint [--spec NAME]
     mbs-repro list
 
+``mbs-repro <subcommand> -h`` prints every flag of one subcommand.
+
 ``all --render-from-cache`` replays the stored manifests without any
 recomputation (a spec whose manifest is missing is reported, not run);
 with ``--out DIR`` it *diffs* each stored manifest against
@@ -82,9 +84,6 @@ uploads manifests until every job is terminal — see
 ``docs/distributed.md`` for lease/retry semantics and how the queue
 composes with ``--shard`` and ``--resume``.
 
-Legacy form ``mbs-repro <artifact> [driver args]`` still dispatches to
-the driver module directly (always recomputes).
-
 Artifacts: fig3 fig4 fig6 fig10 fig11 fig12 fig13 fig14 tab2 ablation
 precision headline scaling latency_sweep energy_sweep.
 """
@@ -92,9 +91,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import sys
 from pathlib import Path
 
+from repro import api
 from repro.experiments import ALL_EXPERIMENTS
 from repro.runtime import (
     ResultCache,
@@ -105,13 +106,41 @@ from repro.runtime import (
     run_tasks,
     task_key,
 )
-
-SUBCOMMANDS = ("run", "all", "sweep", "merge", "bench", "schedule",
-               "sweep-schedule", "serve", "submit-sweep", "work",
-               "export", "fingerprint", "list")
+from repro.types import MIB
 
 
-def _schedule_command(rest: list[str]) -> int:
+def _checked(convert, ok, want: str):
+    """An argparse ``type=``: ``convert`` the text, then require ``ok``.
+
+    Anything else is a usage error (exit 2) naming ``want`` — the CLI
+    refuses the same out-of-range sizes and counts the wire path does.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+
+    return parse
+
+
+_positive = _checked(int, lambda v: v > 0, "an integer > 0")
+_non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_s = _checked(float, lambda v: v > 0, "seconds > 0")
+_non_negative_s = _checked(float, lambda v: v >= 0, "seconds >= 0")
+_port = _checked(int, lambda v: 0 <= v <= 65535, "a port in 0..65535")
+_mib_list = _checked(
+    lambda text: tuple(float(v) for v in text.split(",") if v),
+    lambda mibs: bool(mibs) and all(1 <= v * MIB < math.inf for v in mibs),
+    "comma-separated MiB values > 0",
+)
+
+
+def _cmd_schedule(args) -> int:
     """Inspect the MBS schedule of any network from the shell.
 
     A thin shell over :func:`repro.api.price` — the same facade the
@@ -120,36 +149,28 @@ def _schedule_command(rest: list[str]) -> int:
     """
     import json
 
-    from repro import api
     from repro.graph.serialize import GraphSchemaError, loads_network
-    from repro.types import MIB
 
-    has_graph = any(a == "--graph" or a.startswith("--graph=")
-                    for a in rest)
-    parser = argparse.ArgumentParser(
-        prog="mbs-repro schedule", add_help=False,
-        usage="mbs-repro schedule (<network> | --graph FILE.json) "
-              "[policy] [buffer MiB] [--objective OBJ] [--json]",
-    )
-    if not has_graph:
-        parser.add_argument("network", nargs="?")
-    parser.add_argument("policy", nargs="?", default="mbs2")
-    parser.add_argument("buffer_mib", nargs="?", type=int, default=10)
-    parser.add_argument("--objective", choices=api.objectives(),
-                        default="traffic")
-    parser.add_argument("--graph", metavar="FILE.json")
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return 2
-    if not has_graph and not args.network:
-        print("usage: mbs-repro schedule (<network> | --graph FILE.json) "
-              "[policy] [buffer MiB] "
-              f"[--objective {'|'.join(api.objectives())}] [--json]")
-        print(f"policies: {' '.join(api.policies())}  (default: mbs2)")
-        return 2
-    if has_graph:
+    policy, buffer_mib = args.policy, args.buffer_mib
+    if args.graph is None:
+        if args.network is None:
+            print("schedule: give a <network> or --graph FILE.json",
+                  file=sys.stderr)
+            return 2
+        network = args.network
+    else:
+        # --graph stands in for <network>, so the positionals shift one
+        # slot left: `schedule --graph F mbs2 1` reads mbs2 as the policy.
+        if buffer_mib is not None:
+            print("schedule: --graph takes at most [policy] [buffer MiB]",
+                  file=sys.stderr)
+            return 2
+        policy, buffer_mib = args.network, args.policy
+        try:
+            buffer_mib = None if buffer_mib is None else _positive(buffer_mib)
+        except argparse.ArgumentTypeError as exc:
+            print(f"schedule: buffer MiB: {exc}", file=sys.stderr)
+            return 2
         # Malformed graph input is a data error (exit 1), not a usage
         # error: the command line itself was fine.
         try:
@@ -162,11 +183,10 @@ def _schedule_command(rest: list[str]) -> int:
         except GraphSchemaError as exc:
             print(f"--graph {args.graph}: {exc}", file=sys.stderr)
             return 1
-    else:
-        network = args.network
     try:
         result = api.price(
-            network, args.policy, buffer_bytes=args.buffer_mib * MIB,
+            network, "mbs2" if policy is None else policy,
+            buffer_bytes=(buffer_mib or 10) * MIB,
             objective=args.objective,
         )
     except ValueError as exc:
@@ -180,56 +200,26 @@ def _schedule_command(rest: list[str]) -> int:
     return 0
 
 
-def _sweep_schedule_command(rest: list[str]) -> int:
+def _cmd_sweep_schedule(args) -> int:
     """Build one schedule per buffer size through the batch sweep engine.
 
     A thin shell over :func:`repro.api.sweep`; the per-point rows are
     :class:`~repro.api.ScheduleResult` digests.
     """
-    from repro import api
     from repro.core.policies import SweepCaches
     from repro.experiments.tables import format_table
-    from repro.types import MIB
 
-    parser = argparse.ArgumentParser(
-        prog="mbs-repro sweep-schedule", add_help=False,
-        usage="mbs-repro sweep-schedule <network> [policy] "
-              "[--buffers MiB,..] [--objective OBJ]",
-    )
-    parser.add_argument("network", nargs="?")
-    parser.add_argument("policy", nargs="?", default="mbs-auto")
-    parser.add_argument("--buffers", default="1,2,5,10,20,40",
-                        metavar="MiB,..")
-    parser.add_argument("--objective", choices=api.objectives(),
-                        default="traffic")
-    try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return 2
-    if not args.network:
-        print("usage: mbs-repro sweep-schedule <network> [policy] "
-              "[--buffers MiB,..] "
-              f"[--objective {'|'.join(api.objectives())}]")
-        print(f"policies: {' '.join(api.policies())}  (default: mbs-auto)")
-        return 2
-    try:
-        buffers_mib = tuple(float(v) for v in args.buffers.split(",") if v)
-    except ValueError:
-        print(f"--buffers expects comma-separated MiB values, got "
-              f"{args.buffers!r}", file=sys.stderr)
-        return 2
-    buffer_sizes = [int(b * MIB) for b in buffers_mib]
     caches = SweepCaches()
     try:
         results = api.sweep(
-            args.network, args.policy, buffer_sizes,
+            args.network, args.policy, [int(b * MIB) for b in args.buffers],
             objective=args.objective, caches=caches,
         )
     except ValueError as exc:
         print(str(exc).strip("'\""), file=sys.stderr)
         return 2
     rows = []
-    for buf, res in zip(buffers_mib, results):
+    for buf, res in zip(args.buffers, results):
         subs = [g.sub_batch for g in res.groups]
         rows.append([
             f"{buf:g} MiB", str(len(res.groups)),
@@ -251,58 +241,18 @@ def _sweep_schedule_command(rest: list[str]) -> int:
     return 0
 
 
-def _serve_command(rest: list[str]) -> int:
+def _cmd_serve(args) -> int:
     """Run the scheduling-as-a-service HTTP server until interrupted."""
     import asyncio
 
     from repro.runtime.journal import JournalError
     from repro.serve import run_server
 
-    parser = argparse.ArgumentParser(
-        prog="mbs-repro serve", add_help=False,
-        usage="mbs-repro serve [--host H] [--port P] [--workers N] "
-              "[--timeout S] [--max-pending N] [--cache-dir DIR] "
-              "[--no-cache] [--cache-max-entries N] "
-              "[--cache-max-bytes B] [--lease-timeout S] "
-              "[--max-attempts N] [--state-dir DIR]",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8787)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--max-pending", type=int, default=64)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    # Bounded by default: a long-lived server must not grow its result
-    # store without limit.  0 disables a bound (unbounded).
-    parser.add_argument("--cache-max-entries", type=int, default=4096)
-    parser.add_argument("--cache-max-bytes", type=int, default=0)
-    # work-queue defaults for hosted sweep jobs (/v1/jobs)
-    parser.add_argument("--lease-timeout", type=float, default=60.0)
-    parser.add_argument("--max-attempts", type=int, default=3)
-    # journal + snapshots: a restart on the same dir resumes the queue
-    parser.add_argument("--state-dir", default=None)
-    try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return 2
-    if (args.workers < 0 or args.timeout <= 0 or args.max_pending < 0
-            or args.cache_max_entries < 0 or args.cache_max_bytes < 0):
-        print("serve: --workers/--max-pending/--cache-max-* must be "
-              ">= 0 and --timeout > 0", file=sys.stderr)
-        return 2
-    if args.lease_timeout <= 0 or args.max_attempts < 1:
-        print("serve: --lease-timeout must be > 0 and --max-attempts "
-              ">= 1", file=sys.stderr)
-        return 2
-    cache = None if args.no_cache else (
-        ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-    )
     try:
         asyncio.run(run_server(
             host=args.host, port=args.port, workers=args.workers,
             timeout_s=args.timeout, max_pending=args.max_pending,
-            cache=cache,
+            cache=None if args.no_cache else _make_cache(args),
             cache_max_entries=args.cache_max_entries or None,
             cache_max_bytes=args.cache_max_bytes or None,
             lease_timeout_s=args.lease_timeout,
@@ -317,7 +267,7 @@ def _serve_command(rest: list[str]) -> int:
     return 0
 
 
-def _submit_sweep_command(rest: list[str]) -> int:
+def _cmd_submit_sweep(args) -> int:
     """Enqueue one sweep job on a running coordinator.
 
     A thin shell over :class:`repro.api.SweepJobRequest` +
@@ -325,37 +275,10 @@ def _submit_sweep_command(rest: list[str]) -> int:
     coordinator rejects (unknown artifact, malformed axis) prints the
     server's path-qualified message and exits 1.
     """
-    import time as _time
+    import time
 
-    from repro import api
-    from repro.runtime import manifest_bytes as _manifest_bytes
     from repro.serve.worker import CoordinatorClient, CoordinatorError
 
-    parser = argparse.ArgumentParser(
-        prog="mbs-repro submit-sweep", add_help=False,
-        usage="mbs-repro submit-sweep <artifact> [--set axis=v1,v2 ...] "
-              "[--quick] [--coordinator URL] [--lease-timeout S] "
-              "[--max-attempts N] [--wait] [--poll S] [--out DIR]",
-    )
-    parser.add_argument("artifact", nargs="?")
-    parser.add_argument("--set", action="append", default=[],
-                        metavar="axis=v1,v2")
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--coordinator", default="http://127.0.0.1:8787")
-    parser.add_argument("--lease-timeout", type=float, default=None)
-    parser.add_argument("--max-attempts", type=int, default=None)
-    parser.add_argument("--wait", action="store_true")
-    parser.add_argument("--poll", type=float, default=1.0)
-    parser.add_argument("--out", metavar="DIR", default=None)
-    try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return 2
-    if not args.artifact:
-        print("usage: mbs-repro submit-sweep <artifact> "
-              "[--set axis=v1,v2 ...] [--quick] [--coordinator URL] "
-              "[--wait] [--out DIR]")
-        return 2
     try:
         axes = _parse_sets(args.set, multi=True)
     except SystemExit as exc:
@@ -385,7 +308,7 @@ def _submit_sweep_command(rest: list[str]) -> int:
     print(status.describe())
     if args.wait:
         while status.state == "running":
-            _time.sleep(args.poll)
+            time.sleep(args.poll)
             status = client.job(status.job_id)
         print(status.describe())
     if args.out:
@@ -394,12 +317,12 @@ def _submit_sweep_command(rest: list[str]) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for manifest in wire["manifests"]:
             name = f"{manifest['spec']}--{manifest['key']}.json"
-            (out / name).write_bytes(_manifest_bytes(manifest))
+            (out / name).write_bytes(manifest_bytes(manifest))
         print(f"wrote {len(wire['manifests'])} manifest(s) to {out}")
     return 0 if status.state != "failed" else 1
 
 
-def _work_command(rest: list[str]) -> int:
+def _cmd_work(args) -> int:
     """Run one sweep worker against a coordinator until jobs drain."""
     from repro.serve.worker import (
         CoordinatorClient,
@@ -407,38 +330,6 @@ def _work_command(rest: list[str]) -> int:
         work_loop,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="mbs-repro work", add_help=False,
-        usage="mbs-repro work --coordinator URL [--jobs N] [--batch M] "
-              "[--poll S] [--cache-dir DIR] [--no-cache] "
-              "[--worker-id ID] [--timeout S] [--max-leases N] "
-              "[--reconnect S]",
-    )
-    parser.add_argument("--coordinator", default="http://127.0.0.1:8787")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--poll", type=float, default=1.0)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--worker-id", default=None)
-    parser.add_argument("--timeout", type=float, default=None)
-    # fault-injection hook: sleep after each lease grant before
-    # computing (the kill tests use it to die while holding a lease)
-    parser.add_argument("--stall", type=float, default=0.0)
-    parser.add_argument("--max-leases", type=int, default=None)
-    # how long the coordinator may stay unreachable before the worker
-    # gives up (a bounce within this budget looks like a slow poll)
-    parser.add_argument("--reconnect", type=float, default=60.0)
-    try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return 2
-    if args.jobs < 1 or (args.batch is not None and args.batch < 1):
-        print("work: --jobs and --batch must be >= 1", file=sys.stderr)
-        return 2
-    if args.reconnect < 0:
-        print("work: --reconnect must be >= 0", file=sys.stderr)
-        return 2
     try:
         client = CoordinatorClient(args.coordinator)
     except ValueError as exc:
@@ -490,7 +381,7 @@ def _parse_sets(pairs: list[str], multi: bool = False) -> dict:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_positive, default=1, metavar="N",
                    help="worker processes (default: 1, serial)")
     p.add_argument("--no-cache", action="store_true",
                    help="recompute even when a cached result exists")
@@ -567,10 +458,91 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="where fresh manifests land (cache is bypassed)")
 
+    policies = " ".join(api.policies())
+    p = sub.add_parser("schedule",
+                       help="build and price one schedule (repro.api.price)")
+    p.add_argument("network", nargs="?",
+                   help="zoo network name (omitted with --graph)")
+    p.add_argument("policy", nargs="?",
+                   help=f"one of: {policies} (default: mbs2)")
+    p.add_argument("buffer_mib", nargs="?", type=_positive,
+                   metavar="buffer-MiB",
+                   help="global buffer size in MiB (default: 10)")
+    p.add_argument("--objective", choices=api.objectives(),
+                   default="traffic")
+    p.add_argument("--graph", metavar="FILE.json",
+                   help="price this schema-1 wire graph instead of a "
+                        "zoo network")
+    p.add_argument("--json", action="store_true", dest="as_json",
+                   help="print the ScheduleResult wire object")
+
+    p = sub.add_parser("sweep-schedule",
+                       help="price one schedule per buffer size "
+                            "(repro.api.sweep)")
+    p.add_argument("network", help="zoo network name")
+    p.add_argument("policy", nargs="?", default="mbs-auto",
+                   help=f"one of: {policies} (default: mbs-auto)")
+    p.add_argument("--buffers", type=_mib_list, default="1,2,5,10,20,40",
+                   metavar="MiB,..",
+                   help="buffer sizes in MiB (default: 1,2,5,10,20,40)")
+    p.add_argument("--objective", choices=api.objectives(),
+                   default="traffic")
+
+    p = sub.add_parser("serve", help="run the scheduling HTTP server "
+                                     "and sweep-queue coordinator")
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=_port, default=8787,
+                   help="0 picks a free port (see the startup banner)")
+    p.add_argument("--workers", type=_non_negative, default=1)
+    p.add_argument("--timeout", type=_positive_s, default=30.0)
+    p.add_argument("--max-pending", type=_non_negative, default=64)
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--no-cache", action="store_true")
+    # Bounded by default: a long-lived server must not grow its result
+    # store without limit.  0 disables a bound (unbounded).
+    p.add_argument("--cache-max-entries", type=_non_negative, default=4096)
+    p.add_argument("--cache-max-bytes", type=_non_negative, default=0)
+    # work-queue defaults for hosted sweep jobs (/v1/jobs)
+    p.add_argument("--lease-timeout", type=_positive_s, default=60.0)
+    p.add_argument("--max-attempts", type=_positive, default=3)
+    # journal + snapshots: a restart on the same dir resumes the queue
+    p.add_argument("--state-dir", default=None)
+
+    p = sub.add_parser("submit-sweep",
+                       help="enqueue an experiment's sweep on a coordinator")
+    p.add_argument("artifact")
+    p.add_argument("--set", action="append", default=[],
+                   metavar="axis=v1,v2")
+    p.add_argument("--quick", action="store_true")
+    p.add_argument("--coordinator", default="http://127.0.0.1:8787")
+    p.add_argument("--lease-timeout", type=float, default=None)
+    p.add_argument("--max-attempts", type=int, default=None)
+    p.add_argument("--wait", action="store_true")
+    p.add_argument("--poll", type=float, default=1.0)
+    p.add_argument("--out", metavar="DIR", default=None)
+
+    p = sub.add_parser("work",
+                       help="compute leased sweep points until jobs drain")
+    p.add_argument("--coordinator", default="http://127.0.0.1:8787")
+    p.add_argument("--jobs", type=_positive, default=1)
+    p.add_argument("--batch", type=_positive, default=None)
+    p.add_argument("--poll", type=float, default=1.0)
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--no-cache", action="store_true")
+    p.add_argument("--worker-id", default=None)
+    p.add_argument("--timeout", type=float, default=None)
+    # fault-injection hook: sleep after each lease grant before
+    # computing (the kill tests use it to die while holding a lease)
+    p.add_argument("--stall", type=float, default=0.0)
+    p.add_argument("--max-leases", type=int, default=None)
+    # how long the coordinator may stay unreachable before the worker
+    # gives up (a bounce within this budget looks like a slow poll)
+    p.add_argument("--reconnect", type=_non_negative_s, default=60.0)
+
     p = sub.add_parser("export", help="dump every artifact to one JSON file")
     p.add_argument("path", nargs="?", default="results.json")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_positive, default=1, metavar="N",
                    help="worker processes (default: 1, serial)")
     p.add_argument("--no-cache", action="store_true",
                    help="recompute even when a cached result exists")
@@ -676,12 +648,11 @@ def _render_from_cache(specs, args) -> int:
 
     Never recomputes: a spec without a stored manifest for the current
     parameters + dependency-scoped fingerprint is reported as
-    ``missing``.  With
-    ``--out DIR`` each manifest's canonical bytes are compared against
-    ``DIR/<spec>.json`` (``match`` / ``differs`` / ``no-file``) instead
-    of overwriting — the staleness check behind EXPERIMENTS.md
-    regeneration.  Exit code is 0 only when everything is cached and,
-    if diffing, everything matches.
+    ``missing``.  With ``--out DIR`` each manifest's canonical bytes
+    are compared against ``DIR/<spec>.json`` (``match`` / ``differs`` /
+    ``no-file``) instead of overwriting — the staleness check for
+    regenerated figure dumps.  Exit code is 0 only when everything is
+    cached and, if diffing, everything matches.
     """
     from repro.experiments.tables import format_table
 
@@ -1036,25 +1007,6 @@ def main(argv: list[str] | None = None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         return 0
-    if argv[0] == "schedule":
-        return _schedule_command(argv[1:])
-    if argv[0] == "sweep-schedule":
-        return _sweep_schedule_command(argv[1:])
-    if argv[0] == "serve":
-        return _serve_command(argv[1:])
-    if argv[0] == "submit-sweep":
-        return _submit_sweep_command(argv[1:])
-    if argv[0] == "work":
-        return _work_command(argv[1:])
-    if argv[0] in ALL_EXPERIMENTS:
-        # legacy direct dispatch: always recompute, print the figure
-        ALL_EXPERIMENTS[argv[0]].main(argv[1:])
-        return 0
-    if argv[0] not in SUBCOMMANDS:
-        print(f"unknown artifact or command {argv[0]!r}; choose from "
-              f"{' '.join(SUBCOMMANDS)} or {' '.join(ALL_EXPERIMENTS)}",
-              file=sys.stderr)
-        return 2
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse --help (0) or usage error (2)
@@ -1065,6 +1017,11 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "merge": _cmd_merge,
         "bench": _cmd_bench,
+        "schedule": _cmd_schedule,
+        "sweep-schedule": _cmd_sweep_schedule,
+        "serve": _cmd_serve,
+        "submit-sweep": _cmd_submit_sweep,
+        "work": _cmd_work,
         "export": _cmd_export,
         "fingerprint": _cmd_fingerprint,
         "list": _cmd_list,

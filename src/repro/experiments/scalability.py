@@ -46,10 +46,6 @@ def render(res: dict) -> None:
         print()
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="scaling",
     title="Weak scaling — MBS under multi-chip data parallelism",
@@ -58,7 +54,3 @@ SPEC = register(ExperimentSpec(
     sweep={"policies": (("baseline", "mbs2"), ("mbs1", "mbs2"))},
     artifact=("rows", "chips"),
 ))
-
-
-if __name__ == "__main__":
-    main()

@@ -48,10 +48,6 @@ def render(res: dict) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    render(run())
-
-
 SPEC = register(ExperimentSpec(
     name="tab2",
     title="Tab. 2 — WaveCore area and peak power vs other accelerators",
@@ -59,7 +55,3 @@ SPEC = register(ExperimentSpec(
     render=render,
     artifact=("area", "power_w", "tops_fp16"),
 ))
-
-
-if __name__ == "__main__":
-    main()

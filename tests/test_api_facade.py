@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade: bit-exactness, wire codecs, shims.
+"""The ``repro.api`` facade: bit-exactness, wire codecs, validation.
 
 The facade's contract is that it is *the same computation* as the
 internal entry points — not a parallel reimplementation — so every
@@ -9,7 +9,6 @@ objective.
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -190,37 +189,12 @@ class TestFrozenTypes:
 
 
 class TestDeprecationShims:
-    def test_old_spelling_works_and_warns_once(self):
-        api._reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = api.price(net="toy_chain", buffer_bytes=64 * KIB)
-            second = api.price(net="toy_chain", buffer_bytes=64 * KIB)
-        deps = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "'net' is deprecated" in str(deps[0].message)
-        assert first == second == api.price("toy_chain",
-                                            buffer_bytes=64 * KIB)
-
-    def test_cfg_spelling_maps_to_hardware(self):
-        api._reset_deprecation_warnings()
-        cfg = config_for_policy("mbs-auto", buffer_bytes=64 * KIB)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = api.price("toy_chain", buffer_bytes=64 * KIB, cfg=cfg)
-        assert old == api.price("toy_chain", buffer_bytes=64 * KIB,
-                                hardware=cfg)
-
-    def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError, match="both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                api.price(network="toy_chain", net="toy_chain")
+    """The facade keeps no shim for ``make_schedule``'s ``net=``/``cfg=``."""
 
     def test_unknown_kwarg_is_an_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            api.price("toy_chain", buffer=MIB)
+        for kwargs in ({"buffer": MIB}, {"net": "toy_chain"}, {"cfg": None}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                api.price("toy_chain", **kwargs)
 
 
 class TestServingHelpers:

@@ -49,6 +49,11 @@ class TestFig3:
         res = fig03_footprint.run()
         assert 0.0 < res["reusable_fraction"] < 0.15
 
+    def test_early_layers_are_tens_of_mib(self):
+        # Fig. 3's y-axis: the big early layers at N=32
+        res = fig03_footprint.run()
+        assert res["layers"][0].inter_layer_bytes > 50 * 2**20
+
 
 class TestFig4:
     def test_groups_cover_blocks(self):
@@ -65,6 +70,14 @@ class TestFig4:
         res = fig04_grouping.run()
         iters = [g["iterations"] for g in res["groups"]]
         assert iters == sorted(iters, reverse=True)
+
+    def test_few_groups_with_sub_batches_growing(self):
+        # Fig. 5 structure: a handful of groups, sub-batches growing
+        # with depth
+        res = fig04_grouping.run()
+        assert 3 <= len(res["groups"]) <= 8
+        subs = [g["sub_batch"] for g in res["groups"]]
+        assert subs == sorted(subs)
 
 
 class TestFig11:
@@ -108,6 +121,7 @@ class TestTab2:
         assert res["area"].total_mm2 == pytest.approx(534.0, abs=1.0)
         assert res["tops_fp16"] == pytest.approx(45.9, abs=1.0)
         assert res["buffer_mib"] == 20.0
+        assert 40 < res["power_w"] < 80  # paper: 56 W
 
 
 class TestAblation:
@@ -224,8 +238,3 @@ class TestRunnerCli:
         from repro.experiments.runner import main
         assert main([]) == 0
         assert "Artifacts" in capsys.readouterr().out
-
-    def test_dispatch_fig3(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["fig3"]) == 0
-        assert "Fig. 3" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from repro.experiments import ablation_precision
-from repro.experiments.export import _jsonify
+from repro.runtime.serialize import jsonify
 
 
 class TestPrecisionAblation:
@@ -28,34 +28,34 @@ class TestPrecisionAblation:
 
 class TestJsonify:
     def test_primitives_pass_through(self):
-        assert _jsonify({"a": 1, "b": [1.5, None, True]}) == {
+        assert jsonify({"a": 1, "b": [1.5, None, True]}) == {
             "a": 1, "b": [1.5, None, True]
         }
 
     def test_dataclasses_expand(self):
         from repro.wavecore.report import EnergyBreakdown
         e = EnergyBreakdown(1.0, 2.0, 3.0, 4.0)
-        out = _jsonify(e)
+        out = jsonify(e)
         assert out == {"dram_j": 1.0, "gbuf_j": 2.0, "compute_j": 3.0,
                        "static_j": 4.0}
 
     def test_enum_keys_and_values(self):
         from repro.core.traffic import Category
-        out = _jsonify({Category.FEAT_RD: 10})
+        out = jsonify({Category.FEAT_RD: 10})
         assert out == {"feature_read": 10}
 
     def test_tuple_keys_flatten(self):
-        out = _jsonify({("mbs2", 5): 1.0})
+        out = jsonify({("mbs2", 5): 1.0})
         assert out == {"mbs2/5": 1.0}
 
     def test_numpy_values(self):
         import numpy as np
-        assert _jsonify(np.float64(2.5)) == 2.5
-        assert _jsonify(np.arange(3)) == [0, 1, 2]
+        assert jsonify(np.float64(2.5)) == 2.5
+        assert jsonify(np.arange(3)) == [0, 1, 2]
 
     def test_experiment_result_serializes(self, tmp_path):
         from repro.experiments import fig04_grouping
-        res = _jsonify(fig04_grouping.run())
+        res = jsonify(fig04_grouping.run())
         text = json.dumps(res, default=repr)
         assert "groups" in json.loads(text)
 

@@ -6,6 +6,10 @@ import pytest
 
 from repro.experiments.runner import main
 
+SUBCOMMANDS = ("run", "all", "sweep", "merge", "bench", "schedule",
+               "sweep-schedule", "serve", "submit-sweep", "work",
+               "export", "fingerprint", "list")
+
 
 @pytest.fixture()
 def cache_dir(tmp_path):
@@ -19,6 +23,29 @@ class TestExitCodes:
 
     def test_unknown_artifact(self, capsys):
         assert main(["nope"]) == 2
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_exits_zero(self, capsys, command, flag):
+        assert main([command, flag]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: mbs-repro {command} ")
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "toy_chain", "mbs2", "0"],
+        ["schedule", "toy_chain", "mbs2", "-1"],
+        ["sweep-schedule", "toy_chain", "mbs2", "--buffers", "0"],
+        ["sweep-schedule", "toy_chain", "mbs2", "--buffers", "-1"],
+        ["sweep-schedule", "toy_chain", "mbs2", "--buffers", "1,inf"],
+        ["run", "tab2", "--jobs", "0"],
+        ["all", "--only", "tab2", "--jobs", "0"],
+        ["sweep", "fig3", "--jobs", "-1"],
+        ["export", "--jobs", "0"],
+        ["work", "--jobs", "0"],
+    ], ids=" ".join)
+    def test_non_positive_size_or_count_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "expected" in capsys.readouterr().err
 
     def test_unknown_only_selection(self, capsys, cache_dir):
         assert main(["all", "--only", "nope", "--cache-dir", cache_dir]) == 2
@@ -60,10 +87,6 @@ class TestExitCodes:
     def test_sweep_bad_set_syntax(self, capsys, cache_dir):
         assert main(["sweep", "fig3", "--set", "novalue",
                      "--cache-dir", cache_dir]) == 2
-
-    def test_legacy_dispatch_fig3(self, capsys):
-        assert main(["fig3"]) == 0
-        assert "Fig. 3" in capsys.readouterr().out
 
     def test_schedule_command(self, capsys):
         assert main(["schedule", "resnet50"]) == 0
@@ -138,6 +161,19 @@ class TestExitCodes:
         assert main(["schedule", "--graph", str(path), "mbs2", "1"]) == 0
         out = capsys.readouterr().out
         assert "mbs2 schedule for toy_residual" in out
+
+    def test_schedule_graph_checks_shifted_positionals(self, capsys, tmp_path):
+        from repro.graph.serialize import dumps_network
+        from repro.zoo import build
+
+        path = tmp_path / "net.json"
+        path.write_text(dumps_network(build("toy_chain")))
+        graph = ["schedule", "--graph", str(path)]
+        assert main(graph + ["mbs2", "0"]) == 2
+        assert main(graph + ["mbs2", "ten"]) == 2
+        assert main(graph + ["toy_chain", "mbs2", "1"]) == 2
+        assert main(graph + ["mbs-auto"]) == 0
+        assert "mbs-auto schedule for toy_chain" in capsys.readouterr().out
 
     def test_schedule_graph_same_cost_as_zoo_name(self, capsys, tmp_path):
         import json

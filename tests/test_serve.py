@@ -453,11 +453,14 @@ class TestCliServe:
         assert main(["serve", "--cache-max-entries", "-1"]) == 2
         assert main(["serve", "--cache-max-bytes", "-1"]) == 2
         assert main(["serve", "--bogus"]) == 2
+        assert main(["serve", "--port", "99999"]) == 2
+        assert main(["serve", "--port", "-5"]) == 2
 
     def test_serve_in_subcommands(self):
-        from repro.experiments.runner import SUBCOMMANDS
+        from repro.experiments.runner import _build_parser
 
-        assert "serve" in SUBCOMMANDS
+        args = _build_parser().parse_args(["serve", "--port", "0"])
+        assert (args.command, args.port) == ("serve", 0)
 
 
 class TestCacheEviction:
