@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro import api
 from repro.core.cost import EnergyCostModel, TrafficCostModel
 from repro.core.policies import (
     SweepCaches,
@@ -157,3 +158,20 @@ def test_bench_traffic_cost_model_full_schedule(benchmark, inc4):
         return model.schedule_cost(sched)
 
     assert benchmark(price) == total
+
+
+def test_bench_api_sweep_energy(benchmark):
+    """The same 48-point energy sweep through :func:`repro.api.sweep`:
+    the DP *and* the evaluator that prices every finished schedule.
+
+    Each round gets a freshly built network, so the per-block records
+    the evaluator sums (and the DP's compute profiles) start cold, as
+    in a fresh process; the build runs outside the timer."""
+    buffers = _log_spaced_buffers(48)
+
+    def fresh():
+        return (inception_v4(), "mbs-auto", buffers), {"objective": "energy"}
+
+    results = benchmark.pedantic(api.sweep, setup=fresh, rounds=5)
+    assert len(results) == len(buffers)
+    assert all(r.objective == "energy" for r in results)

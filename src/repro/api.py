@@ -4,10 +4,15 @@ Everything that prices a schedule — the CLI ``schedule`` /
 ``sweep-schedule`` subcommands, the ``mbs-repro serve`` HTTP server,
 and direct Python callers — goes through this facade, so all three
 surfaces return **bit-identical** costs by construction (one code
-path, no parallel reimplementations).  The deeper entry points
-(:func:`repro.core.policies.make_schedule`, the cost models, the
-walkers) remain importable but are *not* covered by the stability
-promise; this module is.
+path).  A finished schedule is priced by summing the per-block records
+:class:`~repro.core.steptime.BlockPricer` memoizes on the network, so
+a buffer sweep walks each distinct block situation once instead of
+every block of every point; ``tests/test_api_facade.py`` asserts the
+sums equal :func:`~repro.core.traffic.compute_traffic` and
+:func:`~repro.wavecore.simulator.simulate_step` bit for bit.  The
+deeper entry points (:func:`repro.core.policies.make_schedule`, the
+cost models, the walkers) remain importable but are *not* covered by
+the stability promise; this module is.
 
 Quick start::
 
@@ -43,7 +48,9 @@ from repro.core.policies import (
     sweep_schedules,
 )
 from repro.core.schedule import Schedule
-from repro.core.traffic import compute_traffic
+from repro.core.steptime import BlockPricer
+from repro.core.traffic import TrafficOptions
+from repro.core.traffic import compute_traffic  # noqa: F401 - traced by perfbench
 from repro.graph.network import Network
 from repro.graph.serialize import (
     GraphSchemaError,
@@ -52,7 +59,8 @@ from repro.graph.serialize import (
 )
 from repro.types import MIB, WORD_BYTES
 from repro.wavecore.config import WaveCoreConfig, config_for_policy
-from repro.wavecore.simulator import simulate_step
+from repro.wavecore.energy import step_energy
+from repro.wavecore.simulator import simulate_step  # noqa: F401 - traced by perfbench
 from repro.zoo import build as build_zoo_network
 
 __all__ = [
@@ -173,21 +181,15 @@ class ScheduleRequest:
                 f"unknown objective {self.objective!r}; choose from "
                 f"{OBJECTIVES}"
             )
-        if (not isinstance(self.buffer_bytes, int)
-                or isinstance(self.buffer_bytes, bool)
-                or self.buffer_bytes <= 0):
-            raise ValueError(
-                f"buffer_bytes must be a positive integer, got "
-                f"{self.buffer_bytes!r}"
-            )
-        if self.mini_batch is not None and (
-                not isinstance(self.mini_batch, int)
-                or isinstance(self.mini_batch, bool)
-                or self.mini_batch <= 0):
-            raise ValueError(
-                f"mini_batch must be a positive integer, got "
-                f"{self.mini_batch!r}"
-            )
+        for name in ("buffer_bytes", "mini_batch", "word_bytes"):
+            value = getattr(self, name)
+            if name == "mini_batch" and value is None:
+                continue  # the network's default mini-batch
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value <= 0):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
         if not (self.relu_mask is None or self.relu_mask == "auto"
                 or isinstance(self.relu_mask, bool)):
             raise ValueError(
@@ -213,10 +215,13 @@ class GroupSummary:
 class ScheduleResult:
     """The priced schedule: what every surface returns.
 
-    ``traffic_bytes`` / ``step_time_s`` / ``step_energy_j`` are the
-    same numbers ``compute_traffic`` and ``simulate_step`` report for
-    the schedule — bit-for-bit, because they *are* those calls'
-    outputs.  ``schedule`` carries the full
+    ``traffic_bytes`` / ``traffic_by_category`` / ``step_time_s`` /
+    ``step_energy_j`` sum the schedule's
+    :class:`~repro.core.steptime.BlockPricer` records in the
+    simulator's order; ``tests/test_api_facade.py`` asserts they equal
+    what ``compute_traffic`` and ``simulate_step`` report for the
+    schedule (at ``word_bytes``) bit for bit, key order included.
+    ``schedule`` carries the full
     :class:`~repro.core.schedule.Schedule` for Python callers; it is
     not part of the wire encoding (``from_wire`` leaves it ``None``).
     """
@@ -595,11 +600,45 @@ def _evaluate(
     net: Network,
     sched: Schedule,
     cfg: WaveCoreConfig,
+    word_bytes: int,
     degraded: bool = False,
 ) -> ScheduleResult:
-    """Price a finished schedule with the evaluators (exact numbers)."""
-    rep = compute_traffic(net, sched)
-    step = simulate_step(net, sched, cfg, traffic=rep)
+    """Price a finished schedule from its per-block records.
+
+    Sums :meth:`~repro.core.steptime.BlockPricer.schedule_records` in
+    the simulator's order: seconds and totals over blocks ascending,
+    category bytes forward ascending then backward descending (the
+    order ``compute_traffic`` emits its records in, which fixes the
+    key order of ``traffic_by_category``).  DRAM bytes use
+    ``word_bytes``, as the DP's cost models do; global-buffer bytes
+    keep the hardware's 2-byte words.  Energy comes from
+    :func:`~repro.wavecore.energy.step_energy` on the four chip-level
+    totals, as in ``simulate_step``.
+    """
+    records = BlockPricer.shared(net, sched.mini_batch, cfg).schedule_records(
+        sched, TrafficOptions(word_bytes=word_bytes)
+    )
+    time_s = 0.0
+    dram_bytes = macs = gbuf_bytes = 0
+    by_cat: dict[str, int] = {}
+    for rec in records:
+        time_s += rec.seconds
+        dram_bytes += rec.dram_bytes
+        macs += rec.macs
+        gbuf_bytes += rec.gbuf_bytes
+        for cat, nbytes in rec.fwd:
+            by_cat[cat] = by_cat.get(cat, 0) + nbytes
+    for rec in reversed(records):
+        for cat, nbytes in rec.bwd:
+            by_cat[cat] = by_cat.get(cat, 0) + nbytes
+    # DRAM traffic also streams through the global buffer
+    energy = step_energy(
+        cfg,
+        time_s,
+        chip_dram_bytes=dram_bytes * cfg.cores,
+        chip_gbuf_bytes=(gbuf_bytes + dram_bytes) * cfg.cores,
+        chip_macs=macs * cfg.cores,
+    )
     groups = tuple(
         GroupSummary(
             first_block=g.blocks[0],
@@ -613,24 +652,21 @@ def _evaluate(
         )
         for g in sched.groups
     )
-    by_cat = {
-        cat.value: nbytes for cat, nbytes in rep.by_category().items()
-    }
     return ScheduleResult(
         network=sched.network,
         policy=sched.policy,
         objective=sched.objective,
         buffer_bytes=sched.buffer_bytes,
         mini_batch=sched.mini_batch,
-        word_bytes=WORD_BYTES,
+        word_bytes=word_bytes,
         relu_mask=sched.relu_mask,
         branch_reuse=sched.branch_reuse,
         groups=groups,
-        traffic_bytes=rep.total_bytes,
+        traffic_bytes=dram_bytes,
         traffic_by_category=by_cat,
-        step_time_s=step.time_s,
-        step_energy_j=step.energy.total_j,
-        energy_dram_share=step.energy.share("dram"),
+        step_time_s=time_s,
+        step_energy_j=energy.total_j,
+        energy_dram_share=energy.share("dram"),
         degraded=degraded,
         schedule=sched,
     )
@@ -678,7 +714,7 @@ def price(
         cfg=cfg if objective in HARDWARE_OBJECTIVES else None,
         relu_mask=relu_mask,
     )
-    return _evaluate(net, sched, cfg)
+    return _evaluate(net, sched, cfg, word_bytes)
 
 
 def sweep(
@@ -714,6 +750,7 @@ def sweep(
             net, sched,
             hardware if hardware is not None
             else config_for_policy(policy, buffer_bytes=buffer_bytes),
+            word_bytes,
         )
         for buffer_bytes, sched in zip(buffer_sizes, scheds)
     ]
@@ -769,5 +806,5 @@ def degraded_result(req: ScheduleRequest,
         net, "mbs2", buffer_bytes=req.buffer_bytes,
         mini_batch=req.mini_batch, word_bytes=req.word_bytes,
     )
-    return _evaluate(net, sched, cfg, degraded=True)
+    return _evaluate(net, sched, cfg, req.word_bytes, degraded=True)
 

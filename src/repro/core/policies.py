@@ -147,9 +147,10 @@ def clear_pricing_caches(net: Network) -> None:
     """Drop every cross-call pricing cache hung off a network's objects.
 
     Restores the cold-start cost of :func:`make_schedule` — compute
-    profiles (:meth:`repro.core.steptime.BlockPricer.shared`) and
-    per-block footprint scalars are otherwise remembered by the network
-    and block instances.  Benchmarks use this to measure the naive
+    profiles and the evaluator's block records
+    (:meth:`repro.core.steptime.BlockPricer.shared`) and per-block
+    footprint scalars are otherwise remembered by the network and block
+    instances.  Benchmarks use this to measure the naive
     per-point sweep loop without cross-point reuse; the structural
     shape caches in :mod:`repro.graph` are *not* cleared (they belong
     to the graph, not to pricing).

@@ -77,7 +77,8 @@ class Schedule:
 
     @property
     def num_blocks(self) -> int:
-        return sum(len(g.blocks) for g in self.groups)
+        # groups partition 0..n-1 in order (checked in __post_init__)
+        return self.groups[-1].blocks[-1] + 1 if self.groups else 0
 
     def group_of_block(self, block_idx: int) -> GroupPlan:
         for g in self.groups:

@@ -39,10 +39,8 @@ metric are suboptimal under another).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.schedule import Schedule
-from repro.core.steptime import BlockPricer, _DramRowReport
+from repro.core.steptime import BlockPricer, _block_seconds, _DramRowReport
 from repro.core.traffic import (
     Phase,
     TrafficOptions,
@@ -93,13 +91,7 @@ def block_step_energy(
         _prof, compute_s, macs = pricer.profile(idx, sub_batch)
         rep = _DramRowReport(pricer.rows(idx))
         walk_block_traffic(rep, net, sched_like, idx, options)
-        dram_s = (
-            np.asarray(rep.row_bytes, dtype=np.float64) / cfg.core_bandwidth
-        )
-        times = np.maximum(compute_s, dram_s)
-        time_s = 0.0
-        for t in times.tolist():  # ordered scalar sum, no reassociation
-            time_s += t
+        time_s = _block_seconds(compute_s, rep.row_bytes, cfg.core_bandwidth)
         gbuf = pricer.gbuf_bytes(idx, sub_batch) + rep.total_bytes
         return step_energy(
             cfg,

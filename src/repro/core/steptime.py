@@ -37,13 +37,17 @@ genuinely diverge on tight buffers.
 from __future__ import annotations
 
 import dataclasses
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.schedule import Schedule
 from repro.core.traffic import (
+    Category,
     Phase,
     TrafficOptions,
+    block_reuse_class,
     block_traffic,
     walk_block_traffic,
 )
@@ -122,6 +126,72 @@ class _DramRowReport:
             self.row_bytes[self._index.row(layer, phase)] += n
 
 
+class _RecordReport(_DramRowReport):
+    """:class:`_DramRowReport` that also bins bytes per phase and category.
+
+    Each phase's dict keeps categories in the order the walker first
+    emits them, so folding blocks in walk order reproduces
+    ``TrafficReport.by_category()``'s key order.
+    """
+
+    __slots__ = ("fwd", "bwd")
+
+    def __init__(self, index: _DramRowIndex) -> None:
+        super().__init__(index)
+        self.fwd: dict[Category, int] = {}
+        self.bwd: dict[Category, int] = {}
+
+    def add(self, block, layer, kind, phase, category, nbytes) -> None:
+        if nbytes > 0:
+            n = int(nbytes)
+            self.total_bytes += n
+            self.row_bytes[self._index.row(layer, phase)] += n
+            by_cat = self.fwd if phase is Phase.FWD else self.bwd
+            by_cat[category] = by_cat.get(category, 0) + n
+
+
+class BlockRecord(NamedTuple):
+    """What a priced result needs from one block in one situation.
+
+    ``seconds`` is the block's ordered ``max(compute, DRAM)`` sum,
+    ``gbuf_bytes`` its global-buffer bytes *excluding* the DRAM bytes
+    that also stream through the buffer, and ``fwd``/``bwd`` its
+    ``(Category.value, bytes)`` pairs per phase, in first-emission
+    order (string keys: the evaluator folds them at every sweep point,
+    and an enum member hashes in Python code, a string in C).
+    """
+
+    seconds: float
+    dram_bytes: int
+    macs: int
+    gbuf_bytes: int
+    fwd: tuple[tuple[str, int], ...]
+    bwd: tuple[tuple[str, int], ...]
+
+
+def _block_seconds(
+    compute_s: np.ndarray,
+    row_bytes: list[int],
+    core_bandwidth: float,
+    unlimited_bandwidth: bool = False,
+) -> float:
+    """Per-layer ``max(compute, DRAM)`` of one block, summed in row order.
+
+    The ordered scalar sum is bit-identical to the ``LayerTiming``
+    accumulation of :func:`~repro.wavecore.simulator.simulate_step`
+    (``np.sum`` would reassociate).
+    """
+    if unlimited_bandwidth:
+        times = compute_s
+    else:
+        dram_s = np.asarray(row_bytes, dtype=np.float64) / core_bandwidth
+        times = np.maximum(compute_s, dram_s)
+    total = 0.0
+    for t in times.tolist():
+        total += t
+    return total
+
+
 class BlockPricer:
     """Caches the buffer-independent inputs of per-block pricing.
 
@@ -132,17 +202,26 @@ class BlockPricer:
     every DP probe of every buffer-sweep point that shares a memory
     config.  The cached ``compute_s`` vectors hold exactly the values
     :func:`block_layer_timings` would yield, in the same order.
+
+    It also memoizes one :class:`BlockRecord` per block situation
+    (:meth:`record`), which the evaluator sums instead of re-walking
+    every block of every finished schedule.
     """
 
-    __slots__ = ("net", "mini_batch", "cfg", "_profiles", "_gbuf", "_rows")
+    __slots__ = ("net", "mini_batch", "cfg", "_profiles", "_gbuf", "_rows",
+                 "_records")
 
     def __init__(self, net: Network, mini_batch: int, cfg: WaveCoreConfig):
-        self.net = net
+        # A proxy, not a reference: the network holds its pricers
+        # (:meth:`shared`), and a cycle would keep a dropped network and
+        # every memo below alive until the cyclic collector next runs.
+        self.net = weakref.proxy(net)
         self.mini_batch = mini_batch
         self.cfg = cfg
         self._profiles: dict[tuple[int, int], tuple] = {}
         self._gbuf: dict[tuple[int, int], int] = {}
         self._rows: dict[int, _DramRowIndex] = {}
+        self._records: dict[TrafficOptions, dict[tuple, BlockRecord]] = {}
 
     @classmethod
     def shared(
@@ -201,6 +280,68 @@ class BlockPricer:
             self._rows[idx] = got
         return got
 
+    def record(
+        self, sched_like, idx: int, sub_batch: int, options: TrafficOptions
+    ) -> BlockRecord:
+        """The memoized :class:`BlockRecord` of block ``idx``.
+
+        ``sched_like`` and ``sub_batch`` are as in
+        :func:`block_step_time`; its ``mini_batch`` must be this
+        pricer's.  The key holds the facts the walkers read, as the
+        cost models' memo keys do (``repro.core.cost``): iterations,
+        fused, both edge flags, ``branch_reuse``, the effective
+        sub-batch, ``relu_mask`` and, for an unfused block, the
+        canonical reuse budget :func:`block_reuse_class`.  ``options``
+        selects the memo, so records for different word widths never
+        mix.
+        """
+        fused = sched_like.block_fused(idx)
+        key = (
+            idx, fused, sched_like.iterations_of_block(idx),
+            sched_like.boundary_on_chip(idx - 1),
+            sched_like.boundary_on_chip(idx),
+            sched_like.branch_reuse_of(idx), sub_batch, sched_like.relu_mask,
+        )
+        if not fused:
+            key += (block_reuse_class(
+                self.net.blocks[idx], self.mini_batch, options.word_bytes,
+                sched_like.layer_reuse_bytes,
+            ),)
+        memo = self._records.get(options)
+        if memo is None:
+            memo = self._records[options] = {}
+        got = memo.get(key)
+        if got is None:
+            _prof, compute_s, macs = self.profile(idx, sub_batch)
+            rep = _RecordReport(self.rows(idx))
+            walk_block_traffic(rep, self.net, sched_like, idx, options)
+            got = memo[key] = BlockRecord(
+                seconds=_block_seconds(
+                    compute_s, rep.row_bytes, self.cfg.core_bandwidth
+                ),
+                dram_bytes=rep.total_bytes,
+                macs=macs,
+                gbuf_bytes=self.gbuf_bytes(idx, sub_batch),
+                fwd=tuple((cat.value, n) for cat, n in rep.fwd.items()),
+                bwd=tuple((cat.value, n) for cat, n in rep.bwd.items()),
+            )
+        return got
+
+    def schedule_records(
+        self, sched: Schedule, options: TrafficOptions
+    ) -> list[BlockRecord]:
+        """One record per block of a finished schedule, in block order."""
+        if sched.num_blocks != len(self.net.blocks):
+            raise ValueError(
+                f"schedule covers {sched.num_blocks} blocks, network has "
+                f"{len(self.net.blocks)}"
+            )
+        return [
+            self.record(sched, idx, g.sub_batch if fused else 0, options)
+            for g in sched.groups
+            for idx, fused in zip(g.blocks, g.block_fused)
+        ]
+
 
 def block_step_time(
     net: Network,
@@ -246,19 +387,9 @@ def block_step_time(
     _prof, compute_s, _macs = pricer.profile(idx, sub_batch)
     rep = _DramRowReport(pricer.rows(idx))
     walk_block_traffic(rep, net, sched_like, idx, options)
-    if unlimited_bandwidth:
-        times = compute_s
-    else:
-        dram_s = (
-            np.asarray(rep.row_bytes, dtype=np.float64) / cfg.core_bandwidth
-        )
-        times = np.maximum(compute_s, dram_s)
-    # ordered scalar sum: bit-identical to the LayerTiming accumulation
-    # (np.sum would reassociate)
-    total = 0.0
-    for t in times.tolist():
-        total += t
-    return total
+    return _block_seconds(
+        compute_s, rep.row_bytes, cfg.core_bandwidth, unlimited_bandwidth
+    )
 
 
 def schedule_step_time(

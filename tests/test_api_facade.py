@@ -1,10 +1,11 @@
 """The ``repro.api`` facade: bit-exactness, wire codecs, validation.
 
-The facade's contract is that it is *the same computation* as the
-internal entry points — not a parallel reimplementation — so every
-cost it returns must equal ``make_schedule`` + ``compute_traffic`` +
-``simulate_step`` bit for bit, across the whole zoo and every
-objective.
+The facade prices a finished schedule by summing memoized per-block
+records (:meth:`repro.core.steptime.BlockPricer.schedule_records`), so
+every cost it returns must equal ``make_schedule`` + ``compute_traffic``
++ ``simulate_step`` bit for bit — including the key order of
+``traffic_by_category`` and the CLI text — across the whole zoo, every
+objective and every fixed policy.
 """
 
 import dataclasses
@@ -13,8 +14,13 @@ import json
 import pytest
 
 from repro import api
-from repro.core.policies import HARDWARE_OBJECTIVES, OBJECTIVES, make_schedule
-from repro.core.traffic import compute_traffic
+from repro.core.policies import (
+    HARDWARE_OBJECTIVES,
+    OBJECTIVES,
+    POLICIES,
+    make_schedule,
+)
+from repro.core.traffic import TrafficOptions, compute_traffic
 from repro.graph.serialize import network_to_dict
 from repro.types import KIB, MIB
 from repro.wavecore.config import config_for_policy
@@ -27,34 +33,124 @@ ZOO = (
     "resnet152", "inception_v3", "inception_v4",
 )
 BUFFERS = (64 * KIB, MIB)
+FIXED_POLICIES = tuple(p for p in POLICIES if p != "mbs-auto")
+
+
+def _reference(res, net, cfg, word_bytes=2):
+    """``res`` with every number recomputed by ``compute_traffic`` +
+    ``simulate_step`` on its schedule: what the facade must equal."""
+    rep = compute_traffic(net, res.schedule, TrafficOptions(word_bytes))
+    step = simulate_step(net, res.schedule, cfg, traffic=rep)
+    return dataclasses.replace(
+        res,
+        word_bytes=word_bytes,
+        traffic_bytes=rep.total_bytes,
+        traffic_by_category={
+            cat.value: nbytes for cat, nbytes in rep.by_category().items()
+        },
+        step_time_s=step.time_s,
+        step_energy_j=step.energy.total_j,
+        energy_dram_share=step.energy.share("dram"),
+    )
+
+
+def _assert_identical(res, ref):
+    assert res == ref
+    # dict equality ignores order; describe() sorts by bytes with a
+    # stable sort, so the key order reaches the CLI text on ties
+    assert list(res.traffic_by_category.items()) == list(
+        ref.traffic_by_category.items()
+    )
+    assert res.describe() == ref.describe()
+
+
+def _check_price_against_internals(name, policy, objective):
+    net = build(name)
+    for buffer_bytes in BUFFERS:
+        cfg = config_for_policy(policy, buffer_bytes=buffer_bytes)
+        sched = make_schedule(
+            net, policy, buffer_bytes=buffer_bytes,
+            objective=objective,
+            cfg=cfg if objective in HARDWARE_OBJECTIVES else None,
+        )
+        res = api.price(name, policy, buffer_bytes=buffer_bytes,
+                        objective=objective)
+        assert res.schedule == sched
+        _assert_identical(res, _reference(res, net, cfg))
+        got = [(g.first_block, g.last_block, g.sub_batch, g.iterations)
+               for g in res.groups]
+        want = [(g.blocks[0], g.blocks[-1], g.sub_batch, g.iterations)
+                for g in sched.groups]
+        assert got == want
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("name", ZOO)
 def test_price_bit_identical_to_internals(name, objective):
     """The acceptance matrix: every zoo network × objective × buffer."""
-    net = build(name)
-    for buffer_bytes in BUFFERS:
-        cfg = config_for_policy("mbs-auto", buffer_bytes=buffer_bytes)
-        sched = make_schedule(
-            net, "mbs-auto", buffer_bytes=buffer_bytes,
-            objective=objective,
-            cfg=cfg if objective in HARDWARE_OBJECTIVES else None,
-        )
-        rep = compute_traffic(net, sched)
-        step = simulate_step(net, sched, cfg, traffic=rep)
+    _check_price_against_internals(name, "mbs-auto", objective)
 
-        res = api.price(name, "mbs-auto", buffer_bytes=buffer_bytes,
-                        objective=objective)
-        assert res.traffic_bytes == rep.total_bytes
-        assert res.step_time_s == step.time_s
-        assert res.step_energy_j == step.energy.total_j
-        assert res.energy_dram_share == step.energy.share("dram")
-        got = [(g.first_block, g.last_block, g.sub_batch, g.iterations)
-               for g in res.groups]
-        want = [(g.blocks[0], g.blocks[-1], g.sub_batch, g.iterations)
-                for g in sched.groups]
-        assert got == want
+
+@pytest.mark.parametrize("policy", FIXED_POLICIES)
+@pytest.mark.parametrize("name", ZOO)
+def test_fixed_policy_bit_identical_to_internals(name, policy):
+    """Every fixed policy (traffic objective) on the same matrix."""
+    _check_price_against_internals(name, policy, "traffic")
+
+
+@pytest.mark.parametrize("name", ["toy_chain", "toy_inception"])
+def test_shared_network_records_match_fresh_prices(name):
+    """Records memoized on one ``Network`` serve every later price.
+
+    Every objective, both ReLU-mask settings, two word widths and two
+    hardware configs (baseline's and the rest's) price against one
+    shared network object, interleaved, so each price reads records
+    written by the ones before it; each must equal a price on a freshly
+    built network.  A fact missing from the record key would make a
+    later price read a record of another situation: the buffers are
+    picked so that dropping any one fact fails this test (256 and 360
+    KiB give toy_chain's blocks equal iteration counts at different
+    sub-batches).
+    """
+    shared = build(name)
+    cases = [
+        ("mbs-auto", {"objective": objective, "relu_mask": relu_mask,
+                      "word_bytes": word_bytes})
+        for word_bytes in (2, 4)
+        for relu_mask in (True, False)
+        for objective in OBJECTIVES
+    ] + [("baseline", {}), ("il", {}), ("mbs2", {"word_bytes": 4})]
+    for kib in (4, 16, 64, 256, 360, 1024):
+        for policy, kw in cases:
+            got = api.price(shared, policy, buffer_bytes=kib * KIB, **kw)
+            fresh = api.price(build(name), policy, buffer_bytes=kib * KIB,
+                              **kw)
+            _assert_identical(got, fresh)
+
+
+def test_word_bytes_prices_what_the_dp_minimized():
+    """DRAM bytes use the request's word width; gbuf keeps 2-byte words."""
+    net = build("toy_chain")
+    cfg = config_for_policy("mbs-auto", buffer_bytes=MIB)
+    res = api.price(net, buffer_bytes=MIB, word_bytes=4)
+    sched = make_schedule(net, "mbs-auto", buffer_bytes=MIB, word_bytes=4)
+    assert res.schedule == sched
+    assert res.word_bytes == 4
+    rep = compute_traffic(net, sched, TrafficOptions(word_bytes=4))
+    step = simulate_step(net, sched, cfg, traffic=rep)
+    assert res.traffic_bytes == rep.total_bytes
+    assert res.step_time_s == step.time_s
+    assert res.step_energy_j == step.energy.total_j
+    _assert_identical(res, _reference(res, net, cfg, word_bytes=4))
+    assert res.traffic_bytes > api.price(net, buffer_bytes=MIB).traffic_bytes
+
+    swept = api.sweep(net, "mbs-auto", [64 * KIB, MIB], word_bytes=4)
+    assert swept[1] == res
+    req = api.ScheduleRequest(network="toy_chain", buffer_bytes=MIB,
+                              word_bytes=4)
+    degraded = api.degraded_result(req)
+    assert degraded.word_bytes == 4
+    _assert_identical(degraded, _reference(degraded, net, cfg, word_bytes=4))
 
 
 def test_price_accepts_all_network_spellings():
@@ -159,12 +255,12 @@ class TestRequestValidation:
             api.ScheduleRequest.from_wire(
                 {"schema": 1, "network": "toy_chain", "buffres": 1})
 
-    def test_rejects_bad_buffer(self):
-        for bad in (0, -1, True, "big"):
-            with pytest.raises(ValueError, match="buffer_bytes"):
+    @pytest.mark.parametrize("field", ["buffer_bytes", "word_bytes"])
+    def test_rejects_bad_buffer(self, field):
+        for bad in (0, -1, -2, 2.5, True, "big", None):
+            with pytest.raises(ValueError, match=field):
                 api.ScheduleRequest.from_wire(
-                    {"schema": 1, "network": "toy_chain",
-                     "buffer_bytes": bad})
+                    {"schema": 1, "network": "toy_chain", field: bad})
 
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="unsupported request schema"):
@@ -232,3 +328,5 @@ class TestServingHelpers:
         # the costs are still the exact evaluator numbers
         exact = api.price("toy_residual", "mbs2", buffer_bytes=64 * KIB)
         assert res.traffic_bytes == exact.traffic_bytes
+        cfg = config_for_policy("mbs-auto", buffer_bytes=64 * KIB)
+        _assert_identical(res, _reference(res, build("toy_residual"), cfg))

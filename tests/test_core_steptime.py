@@ -12,8 +12,9 @@ import pytest
 from repro.core.cost import LatencyCostModel
 from repro.core.policies import POLICIES, make_schedule
 from repro.core.schedule import Schedule, make_group
-from repro.core.steptime import block_step_time, schedule_step_time
+from repro.core.steptime import BlockPricer, schedule_step_time
 from repro.core.subbatch import per_block_sub_batches
+from repro.core.traffic import TrafficOptions
 from repro.types import KIB, MIB
 from repro.wavecore.config import (
     BASELINE_CONFIG,
@@ -81,6 +82,15 @@ class TestScheduleStepTime:
         sched = make_schedule(nets["resnet50"], "mbs1")
         with pytest.raises(ValueError):
             schedule_step_time(nets["toy_chain"], sched)
+
+    def test_mismatched_schedule_records_raise(self, nets):
+        """The evaluator's record path keeps compute_traffic's guard."""
+        sched = make_schedule(nets["resnet50"], "mbs1")
+        pricer = BlockPricer.shared(
+            nets["toy_chain"], sched.mini_batch, DEFAULT_CONFIG
+        )
+        with pytest.raises(ValueError, match="schedule covers"):
+            pricer.schedule_records(sched, TrafficOptions())
 
     def test_unlimited_bandwidth_matches_and_is_faster(self, nets):
         net = nets["toy_inception"]

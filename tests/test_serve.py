@@ -394,6 +394,17 @@ class TestHttp:
         assert status == 400
         assert "buffer_bytes" in body["error"]
 
+    def test_bad_word_bytes_is_400(self):
+        """Never a 500, a bare TypeError, or a priced-and-cached answer."""
+        bad = (0, "x", -2, 2.5, True)
+
+        def fn(port):
+            return [_post(port, _wire(word_bytes=w)) for w in bad]
+
+        for status, body in run(_with_server(fn)):
+            assert status == 400
+            assert "word_bytes" in body["error"]
+
     def test_non_object_body_is_400(self):
         status, body = run(_with_server(lambda p: _post(p, "[1, 2]")))
         assert status == 400
