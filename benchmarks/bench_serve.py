@@ -5,12 +5,14 @@ in a background thread; the benchmarks drive it through a keep-alive
 ``http.client`` connection, so the timings include the full wire path
 a user pays — parse, dedup/cache lookup, DP dispatch, JSON response.
 
-Three regimes:
+Four regimes:
 
 * **cold** — every request is a fresh (network, buffer) point: the
   full schedule search runs.
 * **cached** — the same request repeated: served from the persistent
   result cache, no DP.
+* **cached inception_v4** — hits on the largest zoo network, named and
+  uploaded as a graph: what a hit costs when the network is big.
 * **deduped burst** — eight identical concurrent requests at a fresh
   point: one DP fans out to all waiters.
 
@@ -29,9 +31,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.graph.serialize import network_to_dict
 from repro.runtime.cache import ResultCache
 from repro.serve import ScheduleEngine, Server
-from repro.types import KIB
+from repro.types import KIB, MIB
+from repro.zoo import build
 
 
 class _LiveServer:
@@ -90,7 +94,8 @@ def _wire(buffer_bytes):
 
 
 def _post(conn, wire):
-    conn.request("POST", "/v1/schedule", body=json.dumps(wire),
+    body = wire if isinstance(wire, str) else json.dumps(wire)
+    conn.request("POST", "/v1/schedule", body=body,
                  headers={"Content-Type": "application/json"})
     resp = conn.getresponse()
     body = json.loads(resp.read().decode())
@@ -146,6 +151,44 @@ def test_bench_serve_cached_request(benchmark, live):
 
         body = benchmark(lambda: _post(conn, wire))
         assert body["cached"] is True
+    finally:
+        conn.close()
+
+
+def test_bench_serve_cached_inception_v4(benchmark, live):
+    """Hit path on a big network: four named hits and one upload a round.
+
+    The uploaded graph is the exported network, so it hits the entry
+    the name stored (one in five requests uploads, as in perfbench's
+    serve-mix).  Bodies are encoded once, outside the timed rounds.
+    """
+    named = {"schema": 1, "network": "inception_v4", "policy": "mbs2",
+             "buffer_bytes": MIB}
+    uploaded = {"schema": 1, "graph": network_to_dict(build("inception_v4")),
+                "policy": "mbs2", "buffer_bytes": MIB}
+    bodies = [json.dumps(named)] * 4 + [json.dumps(uploaded)]
+    conn = http.client.HTTPConnection("127.0.0.1", live.port, timeout=60)
+
+    def one_round():
+        return [_post(conn, body) for body in bodies]
+
+    try:
+        assert not _post(conn, named)["cached"]  # warm the cache
+
+        latencies = {"named": [], "uploaded": []}
+        for _ in range(10):
+            for body in bodies:
+                t0 = time.perf_counter()
+                assert _post(conn, body)["cached"] is True
+                kind = "uploaded" if body is bodies[-1] else "named"
+                latencies[kind].append(time.perf_counter() - t0)
+        for kind, values in latencies.items():
+            for name, value in _percentiles(values).items():
+                benchmark.extra_info[f"{kind}_{name}"] = value
+
+        answers = benchmark(one_round)
+        assert all(a["cached"] for a in answers)
+        assert all(a["result"] == answers[0]["result"] for a in answers)
     finally:
         conn.close()
 

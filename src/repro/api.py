@@ -35,6 +35,10 @@ its ``cfg=`` as ``hardware=``.
 """
 from __future__ import annotations
 
+import hashlib
+import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -71,6 +75,7 @@ __all__ = [
     "ScheduleResult",
     "SweepJobRequest",
     "SweepJobStatus",
+    "graph_fingerprint",
     "objectives",
     "policies",
     "price",
@@ -756,25 +761,103 @@ def sweep(
     ]
 
 
-def request_fingerprint(req: ScheduleRequest,
-                        net: Network | None = None) -> str:
+#: Graph fingerprints one process remembers, by zoo name or upload
+#: digest; past this many the least recently used is forgotten.
+_GRAPH_MEMO_SIZE = 256
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+_graph_memo_lock = threading.Lock()
+_graph_memo: OrderedDict[tuple[str, str], str] = OrderedDict()
+
+
+def _json_native(obj: Any) -> bool:
+    """Whether ``obj`` is built only of the types ``json.loads`` makes.
+
+    ``json.dumps`` writes a tuple as an array, but the graph decoder
+    rejects tuples, so a graph holding one must not share a memo entry
+    with its all-list twin.
+    """
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is dict:
+            stack.extend(item.values())
+        elif kind is list:
+            stack.extend(item)
+        elif kind not in _JSON_SCALARS:
+            return False
+    return True
+
+
+def _graph_memo_key(req: ScheduleRequest) -> tuple[str, str] | None:
+    """The memo key of ``req``'s graph, or None to bypass the memo.
+
+    A zoo name is its own key.  An uploaded graph is keyed by the
+    SHA-256 of its canonical JSON text, never by Python equality:
+    ``True == 1 == 1.0``, but the decoder rejects ``true`` and ``64.0``
+    where it wants an integer.
+    """
+    if req.network is not None:
+        return ("network", req.network) if type(req.network) is str else None
+    try:
+        text = json.dumps(req.graph, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError, RecursionError):
+        return None  # not encodable: only Python callers send these
+    if not _json_native(req.graph):
+        return None
+    return "graph", hashlib.sha256(text.encode()).hexdigest()
+
+
+def graph_fingerprint(req: ScheduleRequest) -> str:
+    """``network_fingerprint`` of ``req``'s network, memoized per process.
+
+    A zoo name, or an uploaded graph's canonical JSON text, always
+    resolves to the same network, so each is resolved once per process
+    while it stays among the ``_GRAPH_MEMO_SIZE`` most recently used.
+    Failures are never remembered: a bad graph is decoded again and
+    raises its path-qualified
+    :class:`~repro.graph.serialize.GraphSchemaError` every time.  Safe
+    to call from several threads.
+    """
+    key = _graph_memo_key(req)
+    if key is None:
+        return network_fingerprint(req.resolve_network())
+    with _graph_memo_lock:
+        fingerprint = _graph_memo.get(key)
+        if fingerprint is not None:
+            _graph_memo.move_to_end(key)
+            return fingerprint
+    fingerprint = network_fingerprint(req.resolve_network())
+    with _graph_memo_lock:
+        _graph_memo[key] = fingerprint
+        _graph_memo.move_to_end(key)
+        while len(_graph_memo) > _GRAPH_MEMO_SIZE:
+            _graph_memo.popitem(last=False)
+    return fingerprint
+
+
+def _clear_graph_memo() -> None:
+    """Forget every memoized graph fingerprint (a cold start for tests)."""
+    with _graph_memo_lock:
+        _graph_memo.clear()
+
+
+def request_fingerprint(req: ScheduleRequest) -> str:
     """Content address of a pricing query: the serve-cache key.
 
     Keyed on the *graph fingerprint* (not the zoo name, so a name and
     its exported wire graph share cache entries), buffer size,
     objective, policy, mini-batch, relu mask, word width, and the
-    hardware config family the policy pins.  ``net`` skips re-resolving
-    when the caller already built the network.
+    hardware config family the policy pins.  The graph fingerprint
+    comes from :func:`graph_fingerprint`'s memo, so a repeated query
+    builds, decodes and serializes no network.
     """
-    import hashlib
-    import json
-
-    if net is None:
-        net = req.resolve_network()
+    graph = graph_fingerprint(req)
     cfg = config_for_policy(req.policy, buffer_bytes=req.buffer_bytes)
     blob = json.dumps(
         {
-            "graph": network_fingerprint(net),
+            "graph": graph,
             "policy": req.policy,
             "buffer_bytes": req.buffer_bytes,
             "mini_batch": req.mini_batch,

@@ -14,9 +14,21 @@ import enum
 import json
 from typing import Any
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def jsonify(obj: Any) -> Any:
     """Recursively convert experiment results to JSON-compatible data."""
+    # Fast path for exact JSON types (an uploaded manifest is all of
+    # them); subclasses, enums and the rest take the general path.
+    kind = type(obj)
+    if kind is dict:
+        return {k if type(k) is str else _key(k): jsonify(v)
+                for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [jsonify(v) for v in obj]
+    if kind in _JSON_SCALARS:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonify(getattr(obj, f.name))

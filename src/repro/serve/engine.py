@@ -182,7 +182,7 @@ class ScheduleEngine:
     # -- key derivation ------------------------------------------------
 
     @staticmethod
-    def _group_signature(req: api.ScheduleRequest, key: str) -> str:
+    def _group_signature(req: api.ScheduleRequest) -> str:
         """Batch-compatibility class: the fingerprint minus the buffer.
 
         Two requests may share one sweep dispatch iff they differ only
@@ -191,12 +191,8 @@ class ScheduleEngine:
         """
         import json
 
-        from repro.graph.serialize import network_fingerprint
-
-        del key  # the per-request key stays per-buffer
-        net = req.resolve_network()
         return json.dumps({
-            "graph": network_fingerprint(net),
+            "graph": api.graph_fingerprint(req),
             "policy": req.policy,
             "mini_batch": req.mini_batch,
             "objective": req.objective,
@@ -275,8 +271,7 @@ class ScheduleEngine:
         """
         self.stats.requests += 1
         req = api.ScheduleRequest.from_wire(wire)
-        net = req.resolve_network()
-        key = api.request_fingerprint(req, net)
+        key = api.request_fingerprint(req)
 
         cached = self._cache_lookup(key)
         if cached is not None:
@@ -305,7 +300,7 @@ class ScheduleEngine:
         self._inflight[key] = future
         self._queue.append(_Pending(
             key=key, wire=dict(wire),
-            group=self._group_signature(req, key), future=future,
+            group=self._group_signature(req), future=future,
         ))
         self._kick_batcher()
         return await self._await_priced(key, future, wire, deduped=False)

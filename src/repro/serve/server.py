@@ -172,7 +172,9 @@ class Server:
             try:
                 n = int(length)
             except ValueError:
-                raise _BadRequest(400, "bad Content-Length") from None
+                n = -1
+            if n < 0:
+                raise _BadRequest(400, "bad Content-Length")
             if n > MAX_BODY_BYTES:
                 raise _BadRequest(413, "request body too large")
             if n:

@@ -9,7 +9,10 @@ objective and every fixed policy.
 """
 
 import dataclasses
+import hashlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.core.policies import (
     make_schedule,
 )
 from repro.core.traffic import TrafficOptions, compute_traffic
-from repro.graph.serialize import network_to_dict
+from repro.graph.serialize import network_fingerprint, network_to_dict
 from repro.types import KIB, MIB
 from repro.wavecore.config import config_for_policy
 from repro.wavecore.simulator import simulate_step
@@ -293,6 +296,33 @@ class TestDeprecationShims:
                 api.price("toy_chain", **kwargs)
 
 
+def _unmemoized_key(req):
+    """The serve-cache key computed from a freshly resolved network."""
+    cfg = config_for_policy(req.policy, buffer_bytes=req.buffer_bytes)
+    blob = json.dumps(
+        {
+            "graph": network_fingerprint(req.resolve_network()),
+            "policy": req.policy,
+            "buffer_bytes": req.buffer_bytes,
+            "mini_batch": req.mini_batch,
+            "objective": req.objective,
+            "relu_mask": req.relu_mask,
+            "word_bytes": req.word_bytes,
+            "hardware": repr(cfg),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+@pytest.fixture()
+def cold_memo():
+    """An empty graph fingerprint memo, emptied again afterwards."""
+    api._clear_graph_memo()
+    yield
+    api._clear_graph_memo()
+
+
 class TestServingHelpers:
     def test_fingerprint_same_for_name_and_graph(self):
         """A zoo name and its exported graph share cache entries."""
@@ -317,6 +347,60 @@ class TestServingHelpers:
                 dataclasses.replace(base, network="toy_residual")),
         }
         assert len(keys) == 5
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_fingerprint_matches_the_unmemoized_formula(self, memo,
+                                                        cold_memo):
+        """Keys are byte-identical to hashing the freshly resolved net."""
+        graph = network_to_dict(build("toy_residual"))
+        renamed = dict(graph, name="my_residual")
+        reqs = [
+            api.ScheduleRequest(network="toy_inception", buffer_bytes=MIB),
+            api.ScheduleRequest(graph=graph, objective="energy"),
+            api.ScheduleRequest(graph=renamed, policy="mbs2"),
+        ]
+        if memo == "warm":
+            for req in reqs:
+                api.request_fingerprint(req)
+        for req in reqs:
+            assert api.request_fingerprint(req) == _unmemoized_key(req)
+        assert len({api.request_fingerprint(r) for r in reqs}) == 3
+
+    def test_upload_memo_is_a_bounded_lru(self, monkeypatch, cold_memo):
+        decodes = []
+        decode = api.network_from_dict
+        monkeypatch.setattr(api, "network_from_dict",
+                            lambda g: decodes.append(g["name"]) or decode(g))
+        graph = network_to_dict(build("toy_chain"))
+        bound = api._GRAPH_MEMO_SIZE
+        reqs = [api.ScheduleRequest(graph=dict(graph, name=f"net{i}"))
+                for i in range(bound + 10)]
+        for req in reqs:
+            api.graph_fingerprint(req)
+        assert len(api._graph_memo) == bound
+        api.graph_fingerprint(reqs[-1])  # still remembered
+        assert len(decodes) == bound + 10
+        api.graph_fingerprint(reqs[0])  # forgotten: decoded again
+        assert decodes[-1] == "net0" and len(decodes) == bound + 11
+        assert len(api._graph_memo) == bound
+
+    def test_memo_is_safe_under_concurrent_callers(self, cold_memo):
+        """Eight threads churn an LRU smaller than their working set."""
+        graph = network_to_dict(build("toy_chain"))
+        reqs = [api.ScheduleRequest(graph=dict(graph, name=f"net{i % 300}"))
+                for i in range(900)]
+        reqs += [api.ScheduleRequest(network=n)
+                 for n in ("toy_chain", "toy_residual") * 50]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                keys = list(pool.map(api.request_fingerprint, reqs,
+                                     timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert keys == [_unmemoized_key(r) for r in reqs]
+        assert len(api._graph_memo) == api._GRAPH_MEMO_SIZE
 
     def test_degraded_result_is_greedy_and_flagged(self):
         req = api.ScheduleRequest(network="toy_residual",

@@ -38,20 +38,47 @@ class TestJsonify:
         out = jsonify(e)
         assert out == {"dram_j": 1.0, "gbuf_j": 2.0, "compute_j": 3.0,
                        "static_j": 4.0}
+        assert jsonify([e, {"k": (e,)}]) == [out, {"k": [out]}]
 
     def test_enum_keys_and_values(self):
+        import enum
+
         from repro.core.traffic import Category
+
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = 2
+
         out = jsonify({Category.FEAT_RD: 10})
         assert out == {"feature_read": 10}
+        out = jsonify({Level.HIGH: [Level.LOW], "k": Level.HIGH})
+        assert out == {"2": [1], "k": 2}
+        assert type(out["k"]) is int and type(out["2"][0]) is int
+
+    def test_scalar_keys_stringify(self):
+        # True == 1 as a dict key, so each sits in its own dict
+        out = jsonify([{True: 1, None: 2}, {1: 3, "a": {None: 4}}])
+        assert out == [{"True": 1, "None": 2}, {"1": 3, "a": {"None": 4}}]
 
     def test_tuple_keys_flatten(self):
+        from collections import OrderedDict
+
+        class Tagged(dict):
+            pass
+
         out = jsonify({("mbs2", 5): 1.0})
         assert out == {"mbs2/5": 1.0}
+        out = jsonify([Tagged({("a", 1): (2, ("x",))}), OrderedDict(b=(3,))])
+        assert out == [{"a/1": [2, ["x"]]}, {"b": [3]}]
+        assert [type(d) for d in out] == [dict, dict]
 
     def test_numpy_values(self):
         import numpy as np
         assert jsonify(np.float64(2.5)) == 2.5
         assert jsonify(np.arange(3)) == [0, 1, 2]
+        out = jsonify({"x": [np.int64(7), (np.float32(0.5),)]})
+        assert out == {"x": [7, [0.5]]}
+        assert type(out["x"][0]) is int
 
     def test_experiment_result_serializes(self, tmp_path):
         from repro.experiments import fig04_grouping

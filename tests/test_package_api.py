@@ -28,6 +28,7 @@ def test_api_facade_surface_is_pinned():
         "ScheduleResult",
         "SweepJobRequest",
         "SweepJobStatus",
+        "graph_fingerprint",
         "objectives",
         "policies",
         "price",

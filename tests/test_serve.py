@@ -11,15 +11,21 @@ drive a real ``asyncio.start_server`` socket with stdlib
 import asyncio
 import http.client
 import json
+import socket
 import time
 
 import pytest
 
 from repro import api
-from repro.graph.serialize import network_to_dict
+from repro.graph.serialize import (
+    GraphSchemaError,
+    network_fingerprint,
+    network_to_dict,
+)
 from repro.runtime.cache import ResultCache
 from repro.serve import ScheduleEngine, Server
 from repro.serve.engine import price_batch_wire, price_wire
+from repro.serve.server import MAX_BODY_BYTES
 from repro.types import KIB, MIB
 from repro.zoo import build
 
@@ -269,6 +275,172 @@ class TestEngineCache:
         assert run(go()) == 0
 
 
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Count zoo builds and graph decodes, from an empty fingerprint memo."""
+    counts = {"build": 0, "decode": 0}
+    build_zoo, decode = api.build_zoo_network, api.network_from_dict
+
+    def counting_build(name):
+        counts["build"] += 1
+        return build_zoo(name)
+
+    def counting_decode(graph):
+        counts["decode"] += 1
+        return decode(graph)
+
+    monkeypatch.setattr(api, "build_zoo_network", counting_build)
+    monkeypatch.setattr(api, "network_from_dict", counting_decode)
+    api._clear_graph_memo()
+    yield counts
+    api._clear_graph_memo()
+
+
+def _with_field(graph, block, field, value):
+    """A copy of ``graph`` with one field of block ``block``'s first layer set."""
+    graph = json.loads(json.dumps(graph))
+    graph["blocks"][block]["branches"][0]["layers"][0][field] = value
+    return graph
+
+
+class TestGraphMemo:
+    """A hit builds, decodes and serializes no network."""
+
+    def test_hits_decode_once_per_name_and_per_upload(self, tmp_path,
+                                                      decodes):
+        graph = network_to_dict(build("toy_residual"))
+        stub = {"stub": True}
+
+        async def go():
+            eng = ScheduleEngine(workers=0, batch_window_s=0.001,
+                                 cache=ResultCache(tmp_path),
+                                 pricer=lambda wire: stub)
+            try:
+                metas = []
+                for _ in range(20):
+                    metas.append((await eng.submit(_wire()))[1])
+                for _ in range(20):
+                    metas.append((await eng.submit(
+                        {"schema": 1, "graph": graph,
+                         "buffer_bytes": 64 * KIB}))[1])
+                return metas, eng.stats.executions
+            finally:
+                await eng.aclose()
+
+        metas, executions = run(go())
+        assert executions == 2
+        assert [m["cached"] for m in metas] == ([False] + [True] * 19) * 2
+        assert decodes == {"build": 1, "decode": 1}
+
+    def test_a_miss_decodes_once_in_the_worker(self, tmp_path, decodes):
+        """After the first request the fingerprint never decodes again."""
+
+        async def go():
+            eng = ScheduleEngine(workers=0, batch_window_s=0.001,
+                                 cache=ResultCache(tmp_path))
+            try:
+                for buffer_bytes in (32 * KIB, 64 * KIB, 96 * KIB):
+                    await eng.submit(_wire(buffer_bytes=buffer_bytes))
+                    for _ in range(5):
+                        _, meta = await eng.submit(
+                            _wire(buffer_bytes=buffer_bytes))
+                        assert meta["cached"] is True
+            finally:
+                await eng.aclose()
+
+        run(go())
+        # one build for the memo, one per miss in the pricing worker
+        assert decodes == {"build": 1 + 3, "decode": 0}
+
+    def test_name_and_exported_graph_share_an_entry(self, tmp_path, decodes):
+        graph = network_to_dict(build("toy_chain"))
+
+        async def go():
+            eng = ScheduleEngine(workers=0, batch_window_s=0.001,
+                                 cache=ResultCache(tmp_path))
+            try:
+                named = await eng.submit(_wire())
+                uploaded = await eng.submit(
+                    {"schema": 1, "graph": graph, "policy": "mbs-auto",
+                     "buffer_bytes": 64 * KIB, "objective": "traffic"})
+                return named, uploaded
+            finally:
+                await eng.aclose()
+
+        (r1, m1), (r2, m2) = run(go())
+        assert m1["cached"] is False and m2["cached"] is True
+        assert r2 == r1
+
+    def test_non_integer_int_fields_stay_400_after_a_price(self, tmp_path,
+                                                           decodes):
+        """``64.0`` and ``true`` are not 64 and 1 to the memo."""
+        graph = network_to_dict(build("toy_chain"))
+        cache = ResultCache(tmp_path / "serve-cache")
+        # stage2's conv has 64 output channels, stage0's conv stride [1, 1]
+        conv2 = "$.blocks[2].branches[0].layers[0]"
+        conv0 = "$.blocks[0].branches[0].layers[0]"
+        bad = [
+            (_with_field(graph, 2, "out_channels", 64.0),
+             f"{conv2}.out_channels: expected an integer, got 64.0"),
+            (_with_field(graph, 2, "out_channels", True),
+             f"{conv2}.out_channels: expected an integer, got True"),
+            (_with_field(graph, 0, "stride", [True, 1]),
+             f"{conv0}.stride: expected a pair of integers, got [True, 1]"),
+            (_with_field(graph, 0, "stride", [1.0, 1]),
+             f"{conv0}.stride: expected a pair of integers, got [1.0, 1]"),
+        ]
+
+        def fn(port):
+            first = _post(port, {"schema": 1, "graph": graph,
+                                 "buffer_bytes": 64 * KIB})
+            answers = [_post(port, {"schema": 1, "graph": g,
+                                    "buffer_bytes": 64 * KIB})
+                       for g, _ in bad]
+            return first, answers, _get(port, "/v1/stats")
+
+        (s0, b0), answers, (_, stats) = run(_with_server(fn, cache=cache))
+        assert s0 == 200 and b0["cached"] is False
+        for (status, body), (_, message) in zip(answers, bad):
+            assert (status, body) == (400, {"error": message})
+        assert stats["executions"] == 1 and stats["cache_hits"] == 0
+        assert len(list(cache.entries("serve"))) == 1
+        assert len(api._graph_memo) == 1
+        # every bad graph was decoded: one good decode + price, four bad
+        assert decodes["decode"] == 2 + len(bad)
+
+    def test_schema_invalid_graph_gets_the_same_400_twice(self, decodes):
+        graph = network_to_dict(build("toy_chain"))
+        graph["blocks"][0]["branches"][0]["layers"][0]["kind"] = "lstm"
+        wire = {"schema": 1, "graph": graph, "buffer_bytes": 64 * KIB}
+
+        def fn(port):
+            return _post(port, wire), _post(port, wire)
+
+        first, second = run(_with_server(fn))
+        assert first[0] == 400
+        assert "$.blocks[0].branches[0].layers[0].kind" in first[1]["error"]
+        assert second == first
+        assert decodes["decode"] == 2, "a failure must never be memoized"
+
+    def test_tuple_graph_stays_an_error_after_its_list_twin(self, decodes):
+        """``json.dumps`` writes a tuple as an array; the decoder refuses it."""
+        graph = network_to_dict(build("toy_chain"))
+        api.graph_fingerprint(api.ScheduleRequest(graph=graph))
+        twin = json.loads(json.dumps(graph))
+        twin["blocks"][0]["in_shape"] = tuple(twin["blocks"][0]["in_shape"])
+        with pytest.raises(GraphSchemaError, match=r"blocks\[0\]\.in_shape"):
+            api.request_fingerprint(api.ScheduleRequest(graph=twin))
+        assert len(api._graph_memo) == 1
+
+    def test_unencodable_graph_is_decoded_without_the_memo(self, decodes):
+        graph = network_to_dict(build("toy_chain"))
+        graph["note"] = {1, 2}  # ignored by the decoder, no JSON for it
+        req = api.ScheduleRequest(graph=graph)
+        fingerprints = {api.graph_fingerprint(req) for _ in range(3)}
+        assert fingerprints == {network_fingerprint(build("toy_chain"))}
+        assert decodes["decode"] == 3 and not api._graph_memo
+
+
 # ---------------------------------------------------------------------------
 # HTTP integration (real sockets)
 # ---------------------------------------------------------------------------
@@ -408,6 +580,29 @@ class TestHttp:
     def test_non_object_body_is_400(self):
         status, body = run(_with_server(lambda p: _post(p, "[1, 2]")))
         assert status == 400
+
+    @pytest.mark.parametrize("length, status, error", [
+        ("-5", 400, "bad Content-Length"),
+        ("abc", 400, "bad Content-Length"),
+        (str(MAX_BODY_BYTES + 1), 413, "request body too large"),
+    ])
+    def test_bad_content_length_is_answered(self, length, status, error):
+        """A reply, never a dropped connection, and the server lives on."""
+        head = (f"POST /v1/schedule HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode()
+
+        def fn(port):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=30) as sock:
+                sock.sendall(head)
+                resp = http.client.HTTPResponse(sock)
+                resp.begin()
+                answer = resp.status, json.loads(resp.read().decode())
+            return answer, _get(port, "/healthz")
+
+        answer, health = run(_with_server(fn))
+        assert answer == (status, {"error": error})
+        assert health == (200, {"ok": True})
 
     def test_unknown_path_is_404(self):
         status, _ = run(_with_server(lambda p: _get(p, "/v2/schedule")))
