@@ -63,7 +63,6 @@ from repro.graph.serialize import (
 )
 from repro.types import MIB, WORD_BYTES
 from repro.wavecore.config import WaveCoreConfig, config_for_policy
-from repro.wavecore.energy import step_energy
 from repro.wavecore.simulator import simulate_step  # noqa: F401 - traced by perfbench
 from repro.zoo import build as build_zoo_network
 
@@ -610,39 +609,14 @@ def _evaluate(
 ) -> ScheduleResult:
     """Price a finished schedule from its per-block records.
 
-    Sums :meth:`~repro.core.steptime.BlockPricer.schedule_records` in
-    the simulator's order: seconds and totals over blocks ascending,
-    category bytes forward ascending then backward descending (the
-    order ``compute_traffic`` emits its records in, which fixes the
-    key order of ``traffic_by_category``).  DRAM bytes use
+    :meth:`~repro.core.steptime.BlockPricer.schedule_totals` folds the
+    schedule's records in the simulator's order, which also fixes the
+    key order of ``traffic_by_category``.  DRAM bytes use
     ``word_bytes``, as the DP's cost models do; global-buffer bytes
-    keep the hardware's 2-byte words.  Energy comes from
-    :func:`~repro.wavecore.energy.step_energy` on the four chip-level
-    totals, as in ``simulate_step``.
+    keep the hardware's 2-byte words.
     """
-    records = BlockPricer.shared(net, sched.mini_batch, cfg).schedule_records(
+    totals = BlockPricer.shared(net, sched.mini_batch, cfg).schedule_totals(
         sched, TrafficOptions(word_bytes=word_bytes)
-    )
-    time_s = 0.0
-    dram_bytes = macs = gbuf_bytes = 0
-    by_cat: dict[str, int] = {}
-    for rec in records:
-        time_s += rec.seconds
-        dram_bytes += rec.dram_bytes
-        macs += rec.macs
-        gbuf_bytes += rec.gbuf_bytes
-        for cat, nbytes in rec.fwd:
-            by_cat[cat] = by_cat.get(cat, 0) + nbytes
-    for rec in reversed(records):
-        for cat, nbytes in rec.bwd:
-            by_cat[cat] = by_cat.get(cat, 0) + nbytes
-    # DRAM traffic also streams through the global buffer
-    energy = step_energy(
-        cfg,
-        time_s,
-        chip_dram_bytes=dram_bytes * cfg.cores,
-        chip_gbuf_bytes=(gbuf_bytes + dram_bytes) * cfg.cores,
-        chip_macs=macs * cfg.cores,
     )
     groups = tuple(
         GroupSummary(
@@ -667,11 +641,11 @@ def _evaluate(
         relu_mask=sched.relu_mask,
         branch_reuse=sched.branch_reuse,
         groups=groups,
-        traffic_bytes=dram_bytes,
-        traffic_by_category=by_cat,
-        step_time_s=time_s,
-        step_energy_j=energy.total_j,
-        energy_dram_share=energy.share("dram"),
+        traffic_bytes=totals.dram_bytes,
+        traffic_by_category=totals.by_category,
+        step_time_s=totals.seconds,
+        step_energy_j=totals.energy.total_j,
+        energy_dram_share=totals.energy.share("dram"),
         degraded=degraded,
         schedule=sched,
     )

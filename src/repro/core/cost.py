@@ -44,7 +44,7 @@ A third implementation prices *seconds* instead of bytes:
 A fourth prices *joules* (paper Sec. 6):
 
 * :class:`EnergyCostModel` — simulated step energy.  Each member block
-  is priced by :func:`repro.core.stepenergy.block_step_energy`: DRAM
+  is priced by :func:`repro.core.steptime.block_step_energy`: DRAM
   and global-buffer bytes from the traffic walkers, MACs and block time
   from the WaveCore timing model, composed through the same per-access
   / per-op constants (:func:`repro.wavecore.energy.step_energy`) the
@@ -72,8 +72,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.schedule import Schedule
-from repro.core.stepenergy import block_step_energy, schedule_step_energy
-from repro.core.steptime import BlockPricer, block_step_time, schedule_step_time
+from repro.core.steptime import BlockPricer, block_step_energy, block_step_time
 from repro.core.traffic import (
     TrafficOptions,
     block_reuse_class,
@@ -226,109 +225,147 @@ def _check_schedule_env(model, sched: Schedule) -> None:
         )
 
 
-def _memoized_group_cost(
-    model,
-    blocks: Sequence[int],
-    sub_batch: int,
-    branch_reuse: bool,
-    block_fused: Sequence[bool] | None,
-    price,
-    key_has_sub: bool,
-    zero,
-):
-    """Shared group-pricing loop of the walker-backed cost models.
+class _WalkerCostModel:
+    """The methods every walker-backed cost model shares.
 
-    Builds the single-group :class:`_GroupView`, then prices each member
-    through ``price(view, idx, eff_sub)``, memoized in ``model._memo``
-    on the exact facts the walkers consume — with the view itself as the
-    sole authority on edge on-chip flags, so the memo key can never
-    disagree with what a walk actually saw.  ``key_has_sub`` extends the
-    key with the effective sub-batch for models whose price depends on
-    the iteration *sequence* (compute time does; byte counts depend only
-    on the iteration count).  The key also carries the environment flags
-    the walkers read — ``relu_mask`` always, and for unfused members
-    (the sole path that consults the per-layer reuse budget) the
-    *canonicalized* budget :func:`~repro.core.traffic.block_reuse_class`,
-    under which two budgets with identical per-layer fit outcomes share
-    one entry — so a memo dict may safely be *shared* across model
-    instances with different environments, e.g. the per-buffer models of
-    a sweep.  Accumulation starts from ``zero`` and runs in member
-    order, keeping int sums exact and float association reproducible.
+    Subclasses are frozen dataclasses with ``net``, ``mini_batch``,
+    ``relu_mask``, ``layer_reuse_bytes``, ``options`` and ``_memo``
+    fields and a ``_price(view, idx, eff_sub)`` method that prices one
+    block under a single-group view.  ``_key_has_sub`` extends the
+    per-block memo key with the effective sub-batch for models whose
+    price depends on the iteration *sequence* (compute time does; byte
+    counts depend only on the iteration count); ``_zero`` is the
+    additive identity of the model's cost type.
     """
-    if block_fused is None:
-        block_fused = tuple(sub_batch > 0 for _ in blocks)
-    iterations = (
-        ceil_div(model.mini_batch, sub_batch) if sub_batch > 0 else 1
-    )
-    view = _GroupView(
-        blocks, iterations, block_fused, branch_reuse,
-        model.mini_batch, model.relu_mask, model.layer_reuse_bytes,
-    )
-    memo = model._memo
-    total = zero
-    for pos, idx in enumerate(blocks):
-        fused = block_fused[pos]
-        eff_sub = sub_batch if fused else 0
-        in_on = view.boundary_on_chip(idx - 1)
-        out_on = view.boundary_on_chip(idx)
-        key = (idx, fused, iterations, in_on, out_on, branch_reuse)
-        if key_has_sub:
-            key += (eff_sub,)
-        key += (model.relu_mask,)
-        if not fused:
-            key += (block_reuse_class(
-                model.net.blocks[idx], model.mini_batch,
-                model.options.word_bytes, model.layer_reuse_bytes,
-            ),)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = price(view, idx, eff_sub)
-        total += value
-    return total
 
+    _key_has_sub = False
+    _zero = 0
 
-def _fused_block_floor(model, idx, subs_reuse, subs_noreuse, key_has_sub):
-    """Admissible per-block lower bound on fused group prices.
+    def group_cost(
+        self,
+        blocks: Sequence[int],
+        sub_batch: int,
+        branch_reuse: bool,
+        block_fused: Sequence[bool] | None = None,
+    ):
+        """Price the members of one candidate group, memoized per block.
 
-    Prices block ``idx`` fused with *both* edges on-chip — never
-    costlier than any real candidate's edge placement, because an
-    on-chip edge only removes traffic terms and per-layer time/energy
-    are monotone in a layer's DRAM bytes — minimized over both
-    provisioning modes and every sub-batch the DP can actually assign
-    the block (``subs_*`` from the caller's feasibility running-mins).
-    Probes share ``model._memo`` under the same keys the group-cost loop
-    uses, so most floor walks are later reused by interior DP probes (or
-    vice versa).  Returns ``None`` when no fused candidate can contain
-    the block.
-    """
-    memo = model._memo
-    best = None
-    for branch_reuse, subs in ((False, subs_noreuse), (True, subs_reuse)):
-        for sub in subs:
-            iterations = ceil_div(model.mini_batch, sub)
-            key = (idx, True, iterations, True, True, branch_reuse)
+        Builds the single-group :class:`_GroupView`, then prices each
+        member through ``_price(view, idx, eff_sub)``, memoized in
+        ``_memo`` on the exact facts the walkers consume — with the view
+        itself as the sole authority on edge on-chip flags, so the memo
+        key can never disagree with what a walk actually saw.  The key
+        also carries the environment flags the walkers read —
+        ``relu_mask`` always, and for unfused members (the sole path
+        that consults the per-layer reuse budget) the *canonicalized*
+        budget :func:`~repro.core.traffic.block_reuse_class`, under
+        which two budgets with identical per-layer fit outcomes share
+        one entry — so a memo dict may safely be *shared* across model
+        instances with different environments, e.g. the per-buffer
+        models of a sweep.  Accumulation starts from ``_zero`` and runs
+        in member order, keeping int sums exact and float association
+        reproducible.
+        """
+        if block_fused is None:
+            block_fused = tuple(sub_batch > 0 for _ in blocks)
+        iterations = (
+            ceil_div(self.mini_batch, sub_batch) if sub_batch > 0 else 1
+        )
+        view = _GroupView(
+            blocks, iterations, block_fused, branch_reuse,
+            self.mini_batch, self.relu_mask, self.layer_reuse_bytes,
+        )
+        memo = self._memo
+        key_has_sub = self._key_has_sub
+        total = self._zero
+        for pos, idx in enumerate(blocks):
+            fused = block_fused[pos]
+            eff_sub = sub_batch if fused else 0
+            in_on = view.boundary_on_chip(idx - 1)
+            out_on = view.boundary_on_chip(idx)
+            key = (idx, fused, iterations, in_on, out_on, branch_reuse)
             if key_has_sub:
-                key += (sub,)
-            key += (model.relu_mask,)
+                key += (eff_sub,)
+            key += (self.relu_mask,)
+            if not fused:
+                key += (block_reuse_class(
+                    self.net.blocks[idx], self.mini_batch,
+                    self.options.word_bytes, self.layer_reuse_bytes,
+                ),)
             value = memo.get(key)
             if value is None:
-                # a 3-wide pseudo-view makes both of idx's edges interior
-                # (hence on-chip); walkers never walk the phantom
-                # neighbours, only query their fused flags
-                view = _GroupView(
-                    (idx - 1, idx, idx + 1), iterations,
-                    (True, True, True), branch_reuse,
-                    model.mini_batch, model.relu_mask,
-                    model.layer_reuse_bytes,
-                )
-                value = memo[key] = model._price(view, idx, sub)
-            if best is None or value < best:
-                best = value
-    return best
+                value = memo[key] = self._price(view, idx, eff_sub)
+            total += value
+        return total
+
+    def boundary_cost(self, idx: int, branch_reuse: bool):
+        return self._zero  # boundary traffic is charged to the adjacent blocks
+
+    def block_floor(self, idx, subs_reuse, subs_noreuse):
+        """Admissible lower bound on this block's fused-member price.
+
+        Prices block ``idx`` fused with *both* edges on-chip — never
+        costlier than any real candidate's edge placement, because an
+        on-chip edge only removes traffic terms and per-layer
+        time/energy are monotone in a layer's DRAM bytes — minimized
+        over both provisioning modes and every sub-batch the DP can
+        actually assign the block (``subs_*`` from the caller's
+        feasibility running-mins).  Probes share ``_memo`` under the
+        same keys :meth:`group_cost` uses, so most floor walks are later
+        reused by interior DP probes (or vice versa).  Returns ``None``
+        when no fused candidate can contain the block.
+        """
+        memo = self._memo
+        best = None
+        for branch_reuse, subs in ((False, subs_noreuse), (True, subs_reuse)):
+            for sub in subs:
+                iterations = ceil_div(self.mini_batch, sub)
+                key = (idx, True, iterations, True, True, branch_reuse)
+                if self._key_has_sub:
+                    key += (sub,)
+                key += (self.relu_mask,)
+                value = memo.get(key)
+                if value is None:
+                    # a 3-wide pseudo-view makes both of idx's edges
+                    # interior (hence on-chip); walkers never walk the
+                    # phantom neighbours, only query their fused flags
+                    view = _GroupView(
+                        (idx - 1, idx, idx + 1), iterations,
+                        (True, True, True), branch_reuse,
+                        self.mini_batch, self.relu_mask,
+                        self.layer_reuse_bytes,
+                    )
+                    value = memo[key] = self._price(view, idx, sub)
+                if best is None or value < best:
+                    best = value
+        return best
+
+    def streaming_cost(self, idx: int):
+        """Conventional layerwise streaming of one block (spilled group)."""
+        return self.group_cost((idx,), 0, False, block_fused=(False,))
+
+
+class _HardwareCostModel(_WalkerCostModel):
+    """A walker-backed model priced on WaveCore hardware (seconds, joules).
+
+    Subclasses add ``cfg`` and ``_pricer`` fields; a finished schedule is
+    priced by :meth:`~repro.core.steptime.BlockPricer.schedule_totals`,
+    the fold the evaluator (:mod:`repro.api`) runs.
+    """
+
+    _key_has_sub = True
+    _zero = 0.0
+
+    def __post_init__(self) -> None:
+        if self._pricer is None:
+            object.__setattr__(
+                self, "_pricer",
+                BlockPricer.shared(self.net, self.mini_batch, self.cfg),
+            )
 
 
 @dataclass(frozen=True)
-class TrafficCostModel:
+class TrafficCostModel(_WalkerCostModel):
     """Byte-accurate cost model built from the traffic walkers.
 
     ``group_cost`` prices a candidate group by walking each member block
@@ -368,33 +405,6 @@ class TrafficCostModel:
     def _price(self, view, idx: int, eff_sub: int) -> int:
         return block_traffic_total(self.net, view, idx, self.options)
 
-    def group_cost(
-        self,
-        blocks: Sequence[int],
-        sub_batch: int,
-        branch_reuse: bool,
-        block_fused: Sequence[bool] | None = None,
-    ) -> int:
-        return _memoized_group_cost(
-            self, blocks, sub_batch, branch_reuse, block_fused,
-            price=self._price,
-            key_has_sub=False,
-            zero=0,
-        )
-
-    def boundary_cost(self, idx: int, branch_reuse: bool) -> int:
-        return 0  # boundary traffic is charged to the adjacent blocks
-
-    def block_floor(self, idx, subs_reuse, subs_noreuse) -> int | None:
-        """Admissible lower bound on this block's fused-member price."""
-        return _fused_block_floor(
-            self, idx, subs_reuse, subs_noreuse, key_has_sub=False
-        )
-
-    def streaming_cost(self, idx: int) -> int:
-        """Conventional layerwise streaming of one block (spilled group)."""
-        return self.group_cost((idx,), 0, False, block_fused=(False,))
-
     def schedule_cost(self, sched: Schedule) -> int:
         """Exact total of a full schedule via group + boundary components.
 
@@ -416,7 +426,7 @@ class TrafficCostModel:
 
 
 @dataclass(frozen=True)
-class LatencyCostModel:
+class LatencyCostModel(_HardwareCostModel):
     """Simulated-step-time cost model (seconds, not bytes).
 
     ``group_cost`` prices a candidate group by simulating each member
@@ -453,13 +463,6 @@ class LatencyCostModel:
         default=None, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self._pricer is None:
-            object.__setattr__(
-                self, "_pricer",
-                BlockPricer.shared(self.net, self.mini_batch, self.cfg),
-            )
-
     @classmethod
     def for_schedule(
         cls, net: Network, sched: Schedule,
@@ -484,33 +487,6 @@ class LatencyCostModel:
             pricer=self._pricer,
         )
 
-    def group_cost(
-        self,
-        blocks: Sequence[int],
-        sub_batch: int,
-        branch_reuse: bool,
-        block_fused: Sequence[bool] | None = None,
-    ) -> float:
-        return _memoized_group_cost(
-            self, blocks, sub_batch, branch_reuse, block_fused,
-            price=self._price,
-            key_has_sub=True,
-            zero=0.0,
-        )
-
-    def boundary_cost(self, idx: int, branch_reuse: bool) -> float:
-        return 0.0  # boundary traffic is charged to the adjacent blocks
-
-    def block_floor(self, idx, subs_reuse, subs_noreuse) -> float | None:
-        """Admissible lower bound on this block's fused-member price."""
-        return _fused_block_floor(
-            self, idx, subs_reuse, subs_noreuse, key_has_sub=True
-        )
-
-    def streaming_cost(self, idx: int) -> float:
-        """Conventional layerwise streaming of one block (spilled group)."""
-        return self.group_cost((idx,), 0, False, block_fused=(False,))
-
     def schedule_cost(self, sched: Schedule) -> float:
         """Exact simulated step time of a full schedule.
 
@@ -523,11 +499,11 @@ class LatencyCostModel:
         agreement.
         """
         _check_schedule_env(self, sched)
-        return schedule_step_time(self.net, sched, self.cfg, self.options)
+        return self._pricer.schedule_totals(sched, self.options).seconds
 
 
 @dataclass(frozen=True)
-class EnergyCostModel:
+class EnergyCostModel(_HardwareCostModel):
     """Simulated-step-energy cost model (joules, not bytes or seconds).
 
     ``group_cost`` prices a candidate group by composing, per member
@@ -567,13 +543,6 @@ class EnergyCostModel:
         default=None, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self._pricer is None:
-            object.__setattr__(
-                self, "_pricer",
-                BlockPricer.shared(self.net, self.mini_batch, self.cfg),
-            )
-
     @classmethod
     def for_schedule(
         cls, net: Network, sched: Schedule,
@@ -600,33 +569,6 @@ class EnergyCostModel:
             self.params, pricer=self._pricer,
         )
 
-    def group_cost(
-        self,
-        blocks: Sequence[int],
-        sub_batch: int,
-        branch_reuse: bool,
-        block_fused: Sequence[bool] | None = None,
-    ) -> float:
-        return _memoized_group_cost(
-            self, blocks, sub_batch, branch_reuse, block_fused,
-            price=self._price,
-            key_has_sub=True,
-            zero=0.0,
-        )
-
-    def boundary_cost(self, idx: int, branch_reuse: bool) -> float:
-        return 0.0  # boundary traffic is charged to the adjacent blocks
-
-    def block_floor(self, idx, subs_reuse, subs_noreuse) -> float | None:
-        """Admissible lower bound on this block's fused-member price."""
-        return _fused_block_floor(
-            self, idx, subs_reuse, subs_noreuse, key_has_sub=True
-        )
-
-    def streaming_cost(self, idx: int) -> float:
-        """Conventional layerwise streaming of one block (spilled group)."""
-        return self.group_cost((idx,), 0, False, block_fused=(False,))
-
     def schedule_cost(self, sched: Schedule) -> float:
         """Exact simulated step energy of a full schedule, in joules.
 
@@ -637,9 +579,9 @@ class EnergyCostModel:
         environment must match this model's.
         """
         _check_schedule_env(self, sched)
-        return schedule_step_energy(
-            self.net, sched, self.cfg, self.options, self.params
-        ).total_j
+        return self._pricer.schedule_totals(
+            sched, self.options, self.params
+        ).energy.total_j
 
 
 class LexCost:

@@ -1,30 +1,43 @@
-"""Simulated-step-time bridge between the scheduler and WaveCore timing.
+"""Per-block pricing: simulated seconds and joules from the scheduler.
 
 The timing contract (paper Sec. 4.2) prices a layer at ``max(compute,
 DRAM)``: local buffers are double-buffered, so a layer's off-chip
 transfers overlap its computation, and with the per-PE second weight
 register (ArchOpt, Fig. 8) each GEMM wave's weight fill also hides
 under the previous wave's streaming.  Step time is the sum of layer
-times in dependency order.
+times in dependency order.  The energy model (Sec. 4.2 / Sec. 6)
+prices a step from four chip-level totals: DRAM bytes, global-buffer
+bytes, MAC count, and the step time (static power).
 
-Crucially, a block's simulated time depends only on the block itself,
-network-structural facts, and its owning group's facts — sub-batch,
-iteration count, edge on-chip flags, provisioning mode — exactly the
-locality that lets :class:`repro.core.cost.TrafficCostModel` decompose
-DRAM bytes over groups.  This module exploits the same locality for
-*seconds*: :func:`block_step_time` prices one block under any
-schedule-like view by running the very traffic walkers and per-layer
-timing the simulator runs, and :func:`schedule_step_time` accumulates
-those block times in the simulator's own association, so
+Crucially, a block's simulated time, traffic, global-buffer movement
+and MACs depend only on the block itself, network-structural facts,
+and its owning group's facts — sub-batch, iteration count, edge
+on-chip flags, provisioning mode — exactly the locality that lets
+:class:`repro.core.cost.TrafficCostModel` decompose DRAM bytes over
+groups.  This module exploits the same locality for *seconds* and
+*joules*, all through one path: :class:`BlockPricer` caches what does
+not depend on the schedule, :func:`block_step_time` and
+:func:`block_step_energy` price one block under any schedule-like view
+with the very traffic walkers and per-layer timing the simulator runs,
+and :meth:`BlockPricer.schedule_totals` folds a finished schedule's
+memoized per-block records (:class:`BlockRecord`) in the simulator's
+own association, so
 
 ```python
 schedule_step_time(net, sched, cfg) == simulate_step(net, sched, cfg).time_s
+pricer.schedule_totals(sched, options).energy \
+    == simulate_step(net, sched, cfg).energy
 ```
 
-holds *bit-for-bit* (asserted zoo-wide in ``tests/test_core_steptime.py``).
-That exactness is what gives the latency-objective ``mbs-auto`` its
-dominance guarantee: the grouping DP optimizes the same number the
-evaluator reports.
+hold *bit-for-bit* (asserted zoo-wide in ``tests/test_core_steptime.py``,
+``tests/test_core_cost_properties.py`` and ``tests/test_api_facade.py``).
+That exactness is what gives the latency- and energy-objective
+``mbs-auto`` their dominance guarantees: the grouping DP optimizes the
+same number the evaluator reports.
+:func:`~repro.wavecore.simulator.simulate_step` deliberately keeps its
+own walk (``compute_traffic``, per-layer attribution, ``LayerTiming``
+sums): it is the independent reference those tests compare this
+module against, so it must not be routed through these records.
 
 Weight double buffering is honored through the injected
 :class:`~repro.wavecore.config.WaveCoreConfig`: with it on, a GEMM wave
@@ -32,7 +45,12 @@ costs ``max(m_t, k)`` cycles instead of ``m_t + k``, which shifts
 conv/FC layers toward memory-boundness — extra weight re-streaming from
 a smaller sub-batch may then be free in *time* while still costing
 *bytes*, which is why the latency- and traffic-optimal schedules
-genuinely diverge on tight buffers.
+genuinely diverge on tight buffers.  Energy agrees with neither: DRAM
+accesses dominate a memory-bound step's joules, static power tracks
+time, and the global buffer charges sub-batch re-streaming even when
+the DRAM traffic it causes hides under compute (OCCAM makes the
+general case that reuse schedules chosen under one cost metric are
+suboptimal under another).
 """
 from __future__ import annotations
 
@@ -48,35 +66,32 @@ from repro.core.traffic import (
     Phase,
     TrafficOptions,
     block_reuse_class,
-    block_traffic,
     walk_block_traffic,
 )
 from repro.graph.network import Network
 from repro.wavecore.config import WaveCoreConfig, config_for_policy
+from repro.wavecore.energy import DEFAULT_ENERGY, EnergyParams, step_energy
+from repro.wavecore.report import EnergyBreakdown
 from repro.wavecore.timing import (
-    attribute_block_dram,
     block_compute_profile,
     block_gbuf_bytes,
-    block_layer_timings,
+    dram_layer_resolver,
 )
 
 
 class _DramRowIndex:
     """Resolve raw traffic-record names to per-(layer, phase) row slots.
 
-    Encodes :func:`repro.wavecore.timing.attribute_block_dram`'s
-    resolution rules (real layer name / ``<layer>.out`` / block-level
-    markers) as a memoized row lookup, with rows ordered exactly like
-    :func:`block_compute_profile` so the dram and compute vectors align.
+    Memoizes :func:`repro.wavecore.timing.dram_layer_resolver` per raw
+    name, with rows ordered exactly like :func:`block_compute_profile`
+    so the dram and compute vectors align.
     """
 
-    __slots__ = ("_names", "_first", "_last", "_by_phase", "n_rows")
+    __slots__ = ("_resolve", "_by_phase", "n_rows")
 
     def __init__(self, block) -> None:
         layers = block.all_layers()
-        self._names = {l.name for l in layers}
-        self._first = layers[0].name
-        self._last = layers[-1].name
+        self._resolve = dram_layer_resolver(block)
         # one raw-name -> row cache per phase: the hot `row` lookup then
         # hashes a plain string instead of a (str, enum) tuple
         self._by_phase: dict[Phase, dict[str, int]] = {}
@@ -92,24 +107,16 @@ class _DramRowIndex:
         rows = self._by_phase[phase]
         got = rows.get(raw)
         if got is None:
-            if raw in self._names:
-                name = raw
-            elif raw.endswith(".out") and raw[:-4] in self._names:
-                name = raw[:-4]
-            elif raw.endswith(".out"):
-                name = self._last
-            else:  # .in / fork / other block-level markers
-                name = self._first
-            got = rows[raw] = rows[name]
+            got = rows[raw] = rows[self._resolve(raw)]
         return got
 
 
 class _DramRowReport:
     """Duck-typed traffic report that bins bytes straight into row slots.
 
-    Replaces ``TrafficReport`` + ``attribute_block_dram`` on the pricing
-    hot path: walkers call ``add`` and the bytes land pre-attributed,
-    with no per-record allocation.
+    Stands in for ``TrafficReport`` + ``attribute_block_dram`` on the
+    pricing path: walkers call ``add`` and the bytes land
+    pre-attributed, with no per-record allocation.
     """
 
     __slots__ = ("total_bytes", "row_bytes", "_index")
@@ -169,6 +176,19 @@ class BlockRecord(NamedTuple):
     bwd: tuple[tuple[str, int], ...]
 
 
+class ScheduleTotals(NamedTuple):
+    """A finished schedule's price (:meth:`BlockPricer.schedule_totals`).
+
+    ``by_category`` maps ``Category.value`` to DRAM bytes, keyed in the
+    order ``compute_traffic`` first emits each category.
+    """
+
+    seconds: float
+    dram_bytes: int
+    by_category: dict[str, int]
+    energy: EnergyBreakdown
+
+
 def _block_seconds(
     compute_s: np.ndarray,
     row_bytes: list[int],
@@ -200,12 +220,14 @@ class BlockPricer:
     ``(idx, sub_batch)`` — never on boundary placement, reuse flags,
     ReLU masking, or the global-buffer budget — so one pricer serves
     every DP probe of every buffer-sweep point that shares a memory
-    config.  The cached ``compute_s`` vectors hold exactly the values
-    :func:`block_layer_timings` would yield, in the same order.
+    config.  The cached ``compute_s`` vectors hold exactly the
+    ``compute_s`` values of
+    :func:`~repro.wavecore.timing.block_layer_timings`, in its order.
 
     It also memoizes one :class:`BlockRecord` per block situation
-    (:meth:`record`), which the evaluator sums instead of re-walking
-    every block of every finished schedule.
+    (:meth:`record`); :meth:`schedule_totals` sums them for the
+    evaluator and the hardware cost models' ``schedule_cost`` instead
+    of re-walking every block of every finished schedule.
     """
 
     __slots__ = ("net", "mini_batch", "cfg", "_profiles", "_gbuf", "_rows",
@@ -342,6 +364,46 @@ class BlockPricer:
             for idx, fused in zip(g.blocks, g.block_fused)
         ]
 
+    def schedule_totals(
+        self,
+        sched: Schedule,
+        options: TrafficOptions,
+        params: EnergyParams = DEFAULT_ENERGY,
+    ) -> ScheduleTotals:
+        """Price a finished schedule by folding :meth:`schedule_records`.
+
+        The fold runs in the simulator's order: seconds and totals over
+        blocks ascending, category bytes forward ascending then backward
+        descending (the order ``compute_traffic`` emits its records in).
+        Energy is :func:`~repro.wavecore.energy.step_energy` on the four
+        chip-level totals, computed once, as in ``simulate_step``.
+        """
+        records = self.schedule_records(sched, options)
+        time_s = 0.0
+        dram_bytes = macs = gbuf_bytes = 0
+        by_cat: dict[str, int] = {}
+        for rec in records:
+            time_s += rec.seconds
+            dram_bytes += rec.dram_bytes
+            macs += rec.macs
+            gbuf_bytes += rec.gbuf_bytes
+            for cat, nbytes in rec.fwd:
+                by_cat[cat] = by_cat.get(cat, 0) + nbytes
+        for rec in reversed(records):
+            for cat, nbytes in rec.bwd:
+                by_cat[cat] = by_cat.get(cat, 0) + nbytes
+        cores = self.cfg.cores
+        # DRAM traffic also streams through the global buffer
+        energy = step_energy(
+            self.cfg,
+            time_s,
+            chip_dram_bytes=dram_bytes * cores,
+            chip_gbuf_bytes=(gbuf_bytes + dram_bytes) * cores,
+            chip_macs=macs * cores,
+            params=params,
+        )
+        return ScheduleTotals(time_s, dram_bytes, by_cat, energy)
+
 
 def block_step_time(
     net: Network,
@@ -366,30 +428,56 @@ def block_step_time(
     The per-layer accumulation order matches ``simulate_step`` exactly,
     so these block times sum to the simulated step time bit-for-bit.
 
-    ``pricer`` (a :class:`BlockPricer` built for the same ``net``,
-    ``mini_batch``, and a cfg sharing this one's compute-side fields)
-    switches to a vectorized path: cached compute profile, row-binned
-    traffic walk, elementwise ``max`` — same values, same addition
-    order, no per-record or per-``LayerTiming`` allocation.
+    ``pricer`` is a :class:`BlockPricer` built for the same ``net``,
+    ``mini_batch``, and a cfg sharing this one's compute-side fields;
+    it defaults to :meth:`BlockPricer.shared`.
     """
     if pricer is None:
-        traffic = block_traffic(net, sched_like, idx, options)
-        dram_map = attribute_block_dram(net.blocks[idx], traffic.records)
-        total = 0.0
-        for lt in block_layer_timings(
-            net, idx, sched_like.mini_batch, sub_batch, cfg,
-            lambda name, phase: dram_map.get((name, phase), 0),
-            unlimited_bandwidth=unlimited_bandwidth,
-        ):
-            total += lt.time_s
-        return total
-
+        pricer = BlockPricer.shared(net, sched_like.mini_batch, cfg)
     _prof, compute_s, _macs = pricer.profile(idx, sub_batch)
     rep = _DramRowReport(pricer.rows(idx))
     walk_block_traffic(rep, net, sched_like, idx, options)
     return _block_seconds(
         compute_s, rep.row_bytes, cfg.core_bandwidth, unlimited_bandwidth
     )
+
+
+def block_step_energy(
+    net: Network,
+    sched_like,
+    idx: int,
+    sub_batch: int,
+    cfg: WaveCoreConfig,
+    options: TrafficOptions | None = None,
+    params: EnergyParams = DEFAULT_ENERGY,
+    pricer: BlockPricer | None = None,
+) -> float:
+    """Chip-level joules attributable to block ``idx`` alone.
+
+    Arguments are as in :func:`block_step_time`.  The block's share of
+    each energy component is computed from its own DRAM bytes,
+    global-buffer bytes, MACs, and time, scaled to chip level exactly
+    the way the simulator scales its totals — per-block prices
+    therefore sum to the simulated step energy up to float association
+    (the int-valued byte and MAC totals are exact; only the final
+    per-component multiplies reassociate).
+    """
+    if pricer is None:
+        pricer = BlockPricer.shared(net, sched_like.mini_batch, cfg)
+    _prof, compute_s, macs = pricer.profile(idx, sub_batch)
+    rep = _DramRowReport(pricer.rows(idx))
+    walk_block_traffic(rep, net, sched_like, idx, options)
+    time_s = _block_seconds(compute_s, rep.row_bytes, cfg.core_bandwidth)
+    # DRAM traffic also streams through the global buffer
+    gbuf = pricer.gbuf_bytes(idx, sub_batch) + rep.total_bytes
+    return step_energy(
+        cfg,
+        time_s,
+        chip_dram_bytes=rep.total_bytes * cfg.cores,
+        chip_gbuf_bytes=gbuf * cfg.cores,
+        chip_macs=macs * cfg.cores,
+        params=params,
+    ).total_j
 
 
 def schedule_step_time(
@@ -412,12 +500,13 @@ def schedule_step_time(
         )
     if cfg is None:
         cfg = config_for_policy(sched.policy)
+    pricer = BlockPricer.shared(net, sched.mini_batch, cfg)
     total = 0.0
     for idx in range(len(net.blocks)):
         group = sched.group_of_block(idx)
         sub_batch = group.sub_batch if sched.block_fused(idx) else 0
         total += block_step_time(
             net, sched, idx, sub_batch, cfg, options,
-            unlimited_bandwidth=unlimited_bandwidth,
+            unlimited_bandwidth=unlimited_bandwidth, pricer=pricer,
         )
     return total

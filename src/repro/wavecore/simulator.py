@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 from repro.core.schedule import Schedule
-from repro.core.traffic import Phase, TrafficOptions, TrafficReport, compute_traffic
+from repro.core.traffic import TrafficOptions, TrafficReport, compute_traffic
 from repro.graph.network import Network
 from repro.wavecore.config import WaveCoreConfig, config_for_policy
 from repro.wavecore.energy import DEFAULT_ENERGY, EnergyParams, step_energy
 from repro.wavecore.report import LayerTiming, StepReport
 from repro.wavecore.timing import (
+    block_gbuf_bytes,
     block_layer_timings,
-    gbuf_bytes_for_layer,
     per_layer_dram,
 )
 
@@ -28,6 +28,11 @@ def simulate_step(
     energy and chip traffic scale by the core count.
     ``unlimited_bandwidth`` zeroes memory time to isolate compute
     utilization (the Fig. 14 methodology).
+
+    This walk is the independent reference for the fast pricing path
+    (:mod:`repro.core.steptime`), which the cost models and
+    :mod:`repro.api` run; the exactness tests compare the two, so it
+    deliberately does not sum that path's per-block records.
     """
     if cfg is None:
         cfg = config_for_policy(sched.policy)
@@ -61,11 +66,9 @@ def simulate_step(
             total_macs += lt.macs
             block_s += lt.time_s
         time_s += block_s
-        for phase in (Phase.FWD, Phase.BWD):
-            for layer in block.all_layers():
-                total_gbuf += gbuf_bytes_for_layer(
-                    layer, phase, sched.mini_batch, sub_batch, cfg
-                )
+        total_gbuf += block_gbuf_bytes(
+            net, idx, sched.mini_batch, sub_batch, cfg
+        )
 
     utilization = (
         total_macs / (total_cycles * cfg.pe_count) if total_cycles else 0.0
@@ -99,11 +102,7 @@ def simulate_step(
 
 
 def step_time(
-    net: Network,
-    sched: Schedule,
-    cfg: WaveCoreConfig | None = None,
-    traffic: TrafficReport | None = None,
-    unlimited_bandwidth: bool = False,
+    net: Network, sched: Schedule, cfg: WaveCoreConfig | None = None
 ) -> float:
     """Simulated step latency of ``sched`` alone (the Fig. 10/13 objective).
 
@@ -111,7 +110,4 @@ def step_time(
     (:class:`repro.core.cost.LatencyCostModel`) reproduces this number
     from per-group prices bit-for-bit.
     """
-    return simulate_step(
-        net, sched, cfg, traffic=traffic,
-        unlimited_bandwidth=unlimited_bandwidth,
-    ).time_s
+    return simulate_step(net, sched, cfg).time_s

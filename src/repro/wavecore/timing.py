@@ -92,10 +92,8 @@ def layer_compute(
     return LayerCompute(cycles=0, vector_s=vector_s, macs=0)
 
 
-def attribute_block_dram(
-    block: Block, records: Iterable[TrafficRecord]
-) -> dict[tuple[str, Phase], int]:
-    """Attribute one block's DRAM traffic records to concrete layers.
+def dram_layer_resolver(block: Block) -> Callable[[str], str]:
+    """The rule that attributes a traffic record's name to a layer of ``block``.
 
     Traffic records carry either a real layer name, a ``<layer>.out``
     tensor name, or a block-level name (``<block>.in`` / ``<block>.out`` /
@@ -107,17 +105,26 @@ def attribute_block_dram(
     names = {l.name for l in layers}
     first = layers[0].name
     last = layers[-1].name
+
+    def resolve(raw: str) -> str:
+        if raw in names:
+            return raw
+        if raw.endswith(".out"):
+            return raw[:-4] if raw[:-4] in names else last
+        return first  # .in / fork / other block-level markers
+
+    return resolve
+
+
+def attribute_block_dram(
+    block: Block, records: Iterable[TrafficRecord]
+) -> dict[tuple[str, Phase], int]:
+    """Attribute one block's DRAM traffic records to concrete layers
+    (:func:`dram_layer_resolver`)."""
+    resolve = dram_layer_resolver(block)
     out: dict[tuple[str, Phase], int] = {}
     for rec in records:
-        if rec.layer in names:
-            layer = rec.layer
-        elif rec.layer.endswith(".out") and rec.layer[:-4] in names:
-            layer = rec.layer[:-4]
-        elif rec.layer.endswith(".out"):
-            layer = last
-        else:  # .in / fork / other block-level markers
-            layer = first
-        key = (layer, rec.phase)
+        key = (resolve(rec.layer), rec.phase)
         out[key] = out.get(key, 0) + rec.bytes
     return out
 
@@ -191,26 +198,22 @@ def block_layer_timings(
     cfg: WaveCoreConfig,
     dram_of: Callable[[str, Phase], int],
     unlimited_bandwidth: bool = False,
-    profile: tuple[tuple[str, str, Phase, int, int, float], ...] | None = None,
 ) -> Iterator[LayerTiming]:
     """Per-layer timing of block ``idx``: both phases, in execution order.
 
     ``sub_batch`` is the block's *effective* sub-batch (0 when the block
     streams layerwise); ``dram_of(layer_name, phase)`` supplies the DRAM
-    bytes attributed to each layer.  This is the single authority on how
-    compute and memory time combine — :func:`~repro.wavecore.simulator.
-    simulate_step` and the latency cost model both iterate it, so a
-    per-group price can never drift from the simulated step time.
-
-    ``profile`` may carry a precomputed :func:`block_compute_profile`
-    for the same ``(net, idx, mini_batch, sub_batch, cfg)``; the
-    compute side is then not re-derived.
+    bytes attributed to each layer.  This is how the reference
+    simulator (:func:`~repro.wavecore.simulator.simulate_step`) combines
+    compute and memory time; :class:`~repro.core.steptime.BlockPricer`
+    takes the same ``max`` over the same :func:`block_compute_profile`
+    rows, and the exactness tests hold the two together.
     """
     block = net.blocks[idx]
-    if profile is None:
-        profile = block_compute_profile(net, idx, mini_batch, sub_batch, cfg)
     core_bw = cfg.core_bandwidth
-    for name, kind, phase, cycles, macs, compute_s in profile:
+    for name, kind, phase, cycles, macs, compute_s in block_compute_profile(
+        net, idx, mini_batch, sub_batch, cfg
+    ):
         dram = dram_of(name, phase)
         dram_s = 0.0 if unlimited_bandwidth else dram / core_bw
         yield LayerTiming(

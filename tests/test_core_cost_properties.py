@@ -283,6 +283,46 @@ class TestPredictionExactness:
                 model.schedule_cost(sched), rel=1e-12
             )
 
+    @pytest.mark.parametrize("net_name", ("toy_inception", "resnet50"))
+    def test_energy_prices_a_non_default_calibration(self, nets, net_name):
+        """An ``EnergyParams`` that differs in every field reaches both
+        the schedule-level fold and the per-block prices (the path a
+        calibration sensitivity sweep takes)."""
+        from dataclasses import astuple
+
+        from repro.wavecore.energy import DEFAULT_ENERGY, EnergyParams
+
+        params = EnergyParams(
+            mac_pj=5.5, zero_input_fraction=0.3, zero_skip_saving=0.7,
+            gbuf_pj_per_byte=1.7, static_w=4.9,
+        )
+        assert all(a != b for a, b in zip(astuple(params),
+                                          astuple(DEFAULT_ENERGY)))
+        net = nets[net_name]
+        for buf in (16 * KIB, 1024 * KIB):
+            for policy, objective in (("mbs2", "traffic"),
+                                      ("mbs-auto", "energy")):
+                cfg = config_for_policy(policy, buffer_bytes=buf)
+                sched = make_schedule(
+                    net, policy, buffer_bytes=buf, objective=objective,
+                    cfg=cfg if objective != "traffic" else None,
+                )
+                ref = simulate_step(
+                    net, sched, cfg, energy_params=params
+                ).energy.total_j
+                assert ref != simulate_step(net, sched, cfg).energy.total_j
+                model = EnergyCostModel.for_schedule(
+                    net, sched, cfg=cfg, params=params
+                )
+                assert model.schedule_cost(sched) == ref, (policy, buf)
+                total = 0.0
+                for g in sched.groups:
+                    reuse = sched.branch_reuse_of(g.blocks[0])
+                    total += model.group_cost(
+                        g.blocks, g.sub_batch, reuse, g.block_fused
+                    )
+                assert total == pytest.approx(ref, rel=1e-12), (policy, buf)
+
     def test_energy_streaming_costs_reassemble_baseline(self, nets):
         net = nets["toy_chain"]
         sched = make_schedule(net, "baseline")

@@ -68,7 +68,7 @@ def test_peak_scales_linearly_with_sub_batch(rn50):
     block = rn50.block_named("conv3_1")
     p1 = peak_occupancy(block, 1)
     p4 = peak_occupancy(block, 4)
-    assert p4 == 4 * p1
+    assert p4 == 4 * p1 > 0
 
 
 def test_provision_tight_for_chains(chain_net):

@@ -28,6 +28,7 @@ def test_gn_mbs_matches_full_batch(builder, sub_batch, rng):
     )
     assert s_full.loss_sum == pytest.approx(s_mbs.loss_sum)
     assert s_full.correct == s_mbs.correct
+    assert s_full.samples == s_mbs.samples == len(y)
 
 
 @pytest.mark.parametrize("builder", [toy_chain, toy_residual])

@@ -26,9 +26,9 @@ def manifest_for(spec=SPEC, params=None, key=None, fp="f" * 16):
 
 class TestTaskKey:
     def test_stable(self):
-        assert task_key(SPEC, {"x": 1}, "fp") == task_key(
-            SPEC, {"x": 1}, "fp"
-        )
+        key = task_key(SPEC, {"x": 1}, "fp")
+        assert key == task_key(SPEC, {"x": 1}, "fp")
+        assert len(key) == 24
 
     def test_param_change_changes_key(self):
         assert task_key(SPEC, {"x": 1}, "fp") != task_key(
