@@ -6,6 +6,6 @@ and the work queue.  Cold per-artifact timings are ``mbs-repro
 bench``'s job.
 
 CI's ``bench-gate`` job gates every suite here against
-``benchmarks/baselines.json``; ``bench-smoke`` uploads raw
-``--benchmark-json`` numbers (see ``.github/workflows/ci.yml``).
+``benchmarks/baselines.json`` and uploads the raw ``--benchmark-json``
+numbers, pass or fail (see ``.github/workflows/ci.yml``).
 """

@@ -6,8 +6,8 @@ suites and feeds their ``--benchmark-json`` dumps through this script,
 which diffs each benchmark's median against ``benchmarks/baselines.json``
 with a *generous* tolerance (default 3x): shared runners are noisy, so
 only gross regressions — an accidentally quadratic scheduler, a
-traffic-walk explosion — should block a merge.  Raw numbers stay
-informational in the continue-on-error ``bench-smoke`` job.
+traffic-walk explosion — should block a merge.  The job uploads the
+raw dumps as artifacts, pass or fail.
 
 Usage::
 

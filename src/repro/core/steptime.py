@@ -240,7 +240,7 @@ class BlockPricer:
         self.net = weakref.proxy(net)
         self.mini_batch = mini_batch
         self.cfg = cfg
-        self._profiles: dict[tuple[int, int], tuple] = {}
+        self._profiles: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
         self._gbuf: dict[tuple[int, int], int] = {}
         self._rows: dict[int, _DramRowIndex] = {}
         self._records: dict[TrafficOptions, dict[tuple, BlockRecord]] = {}
@@ -269,8 +269,8 @@ class BlockPricer:
             got = cache[key] = cls(net, mini_batch, cfg)
         return got
 
-    def profile(self, idx: int, sub_batch: int):
-        """``(profile_rows, compute_s ndarray, total_macs)`` for a block."""
+    def profile(self, idx: int, sub_batch: int) -> tuple[np.ndarray, int]:
+        """``(compute_s ndarray, total_macs)`` for a block."""
         key = (idx, sub_batch)
         got = self._profiles.get(key)
         if got is None:
@@ -281,7 +281,7 @@ class BlockPricer:
             macs = 0
             for r in prof:
                 macs += r[4]
-            got = (prof, compute_s, macs)
+            got = (compute_s, macs)
             self._profiles[key] = got
         return got
 
@@ -334,7 +334,7 @@ class BlockPricer:
             memo = self._records[options] = {}
         got = memo.get(key)
         if got is None:
-            _prof, compute_s, macs = self.profile(idx, sub_batch)
+            compute_s, macs = self.profile(idx, sub_batch)
             rep = _RecordReport(self.rows(idx))
             walk_block_traffic(rep, self.net, sched_like, idx, options)
             got = memo[key] = BlockRecord(
@@ -434,7 +434,7 @@ def block_step_time(
     """
     if pricer is None:
         pricer = BlockPricer.shared(net, sched_like.mini_batch, cfg)
-    _prof, compute_s, _macs = pricer.profile(idx, sub_batch)
+    compute_s, _macs = pricer.profile(idx, sub_batch)
     rep = _DramRowReport(pricer.rows(idx))
     walk_block_traffic(rep, net, sched_like, idx, options)
     return _block_seconds(
@@ -464,7 +464,7 @@ def block_step_energy(
     """
     if pricer is None:
         pricer = BlockPricer.shared(net, sched_like.mini_batch, cfg)
-    _prof, compute_s, macs = pricer.profile(idx, sub_batch)
+    compute_s, macs = pricer.profile(idx, sub_batch)
     rep = _DramRowReport(pricer.rows(idx))
     walk_block_traffic(rep, net, sched_like, idx, options)
     time_s = _block_seconds(compute_s, rep.row_bytes, cfg.core_bandwidth)

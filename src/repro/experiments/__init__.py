@@ -7,13 +7,10 @@ registry at import time.  The ``mbs-repro`` console script
 (:mod:`repro.experiments.runner`) schedules the registered specs
 through the :mod:`repro.runtime` pool/cache engine.
 
-Import order below defines the canonical experiment ordering (the
-registry preserves registration order).  ``ALL_EXPERIMENTS`` maps each
-registered artifact name to its driver module in that order; the CLI's
-``all``/``bench``/``list`` and ``export`` iterate it.
+Import order below defines the canonical experiment ordering: the
+registry preserves registration order, and the CLI's ``all``/``list``
+and ``export`` iterate the registry (:func:`repro.runtime.all_specs`).
 """
-import sys
-
 from repro.experiments import (  # noqa: F401  (imports register the specs)
     fig03_footprint,
     fig04_grouping,
@@ -32,10 +29,3 @@ from repro.experiments import (  # noqa: F401  (imports register the specs)
     scalability,
     export,
 )
-from repro.runtime import all_specs
-
-ALL_EXPERIMENTS = {
-    spec.name: sys.modules[spec.module] for spec in all_specs()
-}
-
-__all__ = ["ALL_EXPERIMENTS"]

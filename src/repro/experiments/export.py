@@ -20,12 +20,9 @@ def export_all(
     use_cache: bool = True,
 ) -> dict:
     """Run every experiment (cache-aware) and dump the results to ``path``."""
-    from repro.experiments import ALL_EXPERIMENTS
-    from repro.runtime import Task, get_spec, run_tasks
+    from repro.runtime import Task, all_specs, run_tasks
 
-    tasks = [
-        Task(get_spec(name), {}, quick=quick) for name in ALL_EXPERIMENTS
-    ]
+    tasks = [Task(spec, {}, quick=quick) for spec in all_specs()]
     task_results = run_tasks(
         tasks, jobs=jobs, cache=cache, use_cache=use_cache
     )

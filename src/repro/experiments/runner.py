@@ -85,7 +85,7 @@ uploads manifests until every job is terminal — see
 composes with ``--shard`` and ``--resume``.
 
 Artifacts: fig3 fig4 fig6 fig10 fig11 fig12 fig13 fig14 tab2 ablation
-precision headline scaling latency_sweep energy_sweep.
+precision headline latency_sweep energy_sweep scaling.
 """
 from __future__ import annotations
 
@@ -96,14 +96,15 @@ import sys
 from pathlib import Path
 
 from repro import api
-from repro.experiments import ALL_EXPERIMENTS
 from repro.runtime import (
     ResultCache,
     Task,
+    all_specs,
     code_fingerprint,
     get_spec,
     manifest_bytes,
     run_tasks,
+    spec_names,
     task_key,
 )
 from repro.types import MIB
@@ -630,14 +631,14 @@ def _cmd_run(args) -> int:
 
 
 def _select_specs(only: str | None):
-    names = list(ALL_EXPERIMENTS)
+    names = spec_names()
     if only:
         requested = [n.strip() for n in only.split(",") if n.strip()]
-        unknown = [n for n in requested if n not in ALL_EXPERIMENTS]
+        unknown = [n for n in requested if n not in names]
         if unknown:
             raise SystemExit(
                 f"unknown artifact(s) {' '.join(unknown)}; choose from "
-                f"{' '.join(ALL_EXPERIMENTS)}"
+                f"{' '.join(names)}"
             )
         names = requested
     return [get_spec(n) for n in names]
@@ -988,10 +989,9 @@ def _cmd_list(args) -> int:
     from repro.experiments.tables import format_table
 
     rows = []
-    for name in ALL_EXPERIMENTS:
-        spec = get_spec(name)
+    for spec in all_specs():
         rows.append([
-            name, spec.title,
+            spec.name, spec.title,
             ", ".join(spec.sweep) or "-",
             "yes" if spec.quick else "-",
         ])

@@ -31,19 +31,20 @@ matches — until the job is terminal, at which moment the job's leases
 are pruned (the coordinator would otherwise retain every lease ever
 granted).
 
-With a :class:`~repro.runtime.journal.Journal` attached, every state
-transition is appended to an fsync'd event log *before* it is
-acknowledged, and :meth:`JobQueue.restore` rebuilds the exact queue —
-pending/leased/done/poisoned, attempt counts, quarantine — from the
-snapshot + log after a coordinator crash.  Leases outstanding at crash
-time are conservatively expired on restore, so their points re-queue
-under the normal retry budget.
+Every state transition is one event: a public mutator validates and
+decides, then appends the event to the attached
+:class:`~repro.runtime.journal.Journal` (an fsync'd log) *before* it is
+acknowledged, and applies it with the function :meth:`JobQueue.restore`
+replays — so the queue rebuilt from snapshot + log after a crash is the
+live queue (pending/leased/done/poisoned, attempts, quarantine) by
+construction.  Leases outstanding at crash time are conservatively
+expired on restore, so their points re-queue under the retry budget.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.runtime.cache import task_key
 from repro.runtime.serialize import jsonify
@@ -112,7 +113,6 @@ class Lease:
     deadline: float
     lease_timeout_s: float
     alive: bool = True
-    done: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -213,7 +213,8 @@ class JobQueue:
         reference a worker's upload must match.  ``already_done`` lets
         the caller pre-complete points whose manifests it already holds
         (a cache hit): it receives the resolved point and returns the
-        manifest or ``None``.
+        manifest or ``None``.  A grid that fails to resolve raises
+        before anything is recorded, so it uses up no job id.
 
         Per-job ``lease_timeout_s`` / ``max_attempts`` default to the
         queue-wide values when ``None`` and are validated like the
@@ -234,52 +235,29 @@ class JobQueue:
                 f"max_attempts: expected a positive integer or None "
                 f"(inherit the queue default), got {max_attempts!r}"
             )
-        self._job_seq += 1
-        job_id = f"job-{self._job_seq}"
         points = []
         for index, overrides in enumerate(points_overrides):
             params = spec.resolve_params(overrides, quick=quick)
-            points.append(
-                SweepPoint(
-                    index=index,
-                    overrides=dict(overrides),
-                    params=params,
-                    key=task_key(spec, params),
-                )
-            )
-        job = SweepJob(
-            job_id=job_id,
-            spec=spec,
-            quick=quick,
-            points=points,
-            max_attempts=max_attempts,
-            lease_timeout_s=lease_timeout_s,
-            open_points=len(points),
-        )
-        self.jobs[job_id] = job
-        if already_done is not None:
-            for point in points:
+            point = SweepPoint(index=index, overrides=dict(overrides),
+                               params=params, key=task_key(spec, params))
+            if already_done is not None:
                 manifest = already_done(point)
                 if manifest is not None and manifest.get("key") == point.key:
                     point.state = DONE
-                    job.open_points -= 1
-                    self.points_completed += 1
-        self._emit({
+            points.append({"index": index, "key": point.key,
+                           "overrides": jsonify(point.overrides),
+                           "params": jsonify(params), "state": point.state})
+        job_id = f"job-{self._job_seq + 1}"
+        self._commit({
             "e": "submit",
-            "job_id": job.job_id,
+            "job_id": job_id,
             "spec": spec.name,
             "quick": quick,
-            "max_attempts": job.max_attempts,
-            "lease_timeout_s": job.lease_timeout_s,
-            "points": [
-                {"index": p.index, "overrides": jsonify(p.overrides),
-                 "params": jsonify(p.params), "key": p.key,
-                 "state": p.state}
-                for p in job.points
-            ],
-        })
-        self._maybe_compact()
-        return job
+            "max_attempts": max_attempts,
+            "lease_timeout_s": lease_timeout_s,
+            "points": points,
+        }, lambda _name: spec)
+        return self.jobs[job_id]
 
     def job(self, job_id: str) -> SweepJob:
         try:
@@ -318,41 +296,26 @@ class JobQueue:
                 f"{max_points!r}"
             )
         self.expire()
-        candidates: Sequence[SweepJob]
+        candidates: Iterable[SweepJob]
         if job_id is not None:
             candidates = (self.job(job_id),)
         else:
-            candidates = tuple(self.jobs.values())
+            candidates = self.jobs.values()
         for job in candidates:
             pending = [p for p in job.points if p.state == PENDING]
             if not pending:
                 continue
             batch = pending[:max_points]
-            self._lease_seq += 1
-            lease = Lease(
-                lease_id=f"lease-{self._lease_seq}",
-                job_id=job.job_id,
-                worker=worker,
-                indexes=tuple(p.index for p in batch),
-                deadline=self.clock() + job.lease_timeout_s,
-                lease_timeout_s=job.lease_timeout_s,
-            )
-            for point in batch:
-                point.state = LEASED
-                point.lease_id = lease.lease_id
-                point.attempts += 1
-            self.leases[lease.lease_id] = lease
-            self.leases_granted += 1
-            self._emit({
+            lease_id = f"lease-{self._lease_seq + 1}"
+            self._commit({
                 "e": "lease",
-                "lease_id": lease.lease_id,
+                "lease_id": lease_id,
                 "job_id": job.job_id,
                 "worker": worker,
-                "indexes": list(lease.indexes),
+                "indexes": [p.index for p in batch],
                 "lease_timeout_s": job.lease_timeout_s,
             })
-            self._maybe_compact()
-            return job, lease, batch
+            return job, self.leases[lease_id], batch
         return None
 
     def _lease(self, lease_id: str) -> Lease:
@@ -374,39 +337,41 @@ class JobQueue:
             raise ExpiredLease(
                 f"lease {lease_id!r} expired; its points were re-queued"
             )
-        lease.deadline = self.clock() + lease.lease_timeout_s
-        self._emit({"e": "heartbeat", "lease_id": lease_id})
-        self._maybe_compact()
+        self._commit({"e": "heartbeat", "lease_id": lease_id})
         return lease.deadline
 
     def expire(self) -> int:
         """Reap overdue leases, re-queueing or poisoning their points."""
         now = self.clock()
-        reaped = []
-        for lease in self.leases.values():
-            if not lease.alive or lease.deadline > now:
-                continue
-            lease.alive = False
-            self.leases_expired += 1
-            reaped.append(lease)
-            self._void_lease_points(lease)
-            self._emit({"e": "expire", "lease_id": lease.lease_id})
-        for lease in reaped:
-            self._prune_if_terminal(self.jobs[lease.job_id])
-        self._maybe_compact()
-        return len(reaped)
+        overdue = [lease.lease_id for lease in self.leases.values()
+                   if lease.alive and lease.deadline <= now]
+        for lease_id in overdue:
+            self._commit({"e": "expire", "lease_id": lease_id})
+        return len(overdue)
 
-    def _void_lease_points(self, lease: Lease) -> None:
-        """Re-queue (or poison) the unfinished points of a dead lease."""
+    def _void_lease_points(self, lease_id: str, reason: str | None) -> None:
+        """Kill one lease and re-queue (or poison) its unfinished points.
+
+        ``reason`` is ``None`` for an ordinary expiry.  A lease that an
+        earlier void already pruned (its job went terminal, so its
+        points were all finished) is only counted.
+        """
+        self.leases_expired += 1
+        lease = self.leases.get(lease_id)
+        if lease is None:
+            return
+        lease.alive = False
+        if reason is None:
+            error = f"lease {lease_id} expired (worker {lease.worker})"
+        else:
+            error = (f"lease {lease_id} (worker {lease.worker}) "
+                     f"voided: {reason}")
         job = self.jobs[lease.job_id]
         for index in lease.indexes:
             point = job.points[index]
-            if point.state == LEASED and point.lease_id == lease.lease_id:
-                self._requeue_or_poison(
-                    job, point,
-                    f"lease {lease.lease_id} expired "
-                    f"(worker {lease.worker})",
-                )
+            if point.state == LEASED and point.lease_id == lease_id:
+                self._requeue_or_poison(job, point, error)
+        self._prune_if_terminal(job)
 
     def _requeue_or_poison(
         self, job: SweepJob, point: SweepPoint, error: str
@@ -437,7 +402,12 @@ class JobQueue:
     # -- completion --------------------------------------------------
 
     def complete(
-        self, lease_id: str, index: int, manifest: Mapping[str, Any]
+        self,
+        lease_id: str,
+        index: int,
+        manifest: Mapping[str, Any],
+        *,
+        store: Callable[[Mapping[str, Any]], Any] | None = None,
     ) -> SweepPoint:
         """Accept one point's manifest from the lease holder.
 
@@ -445,6 +415,11 @@ class JobQueue:
         key for the point (:class:`RejectedManifest` on mismatch —
         version-skewed worker).  Idempotent, and accepted even after
         the lease expired: valid finished work is never discarded.
+
+        ``store`` persists the validated manifest *before* the
+        completion is journaled: if it raises, nothing is recorded and
+        the point stays open, so a journaled ``done`` never names a
+        manifest that was lost.
         """
         self.expire()
         lease = self._lease(lease_id)
@@ -459,32 +434,19 @@ class JobQueue:
                 f"{point.key!r} — worker code or parameters out of sync "
                 f"with the coordinator"
             )
-        if point.state != DONE:
-            if point.state != POISONED:
-                job.open_points -= 1
-            point.state = DONE
-            point.lease_id = None
-            point.error = None
-            self.points_completed += 1
-        lease.done.add(index)
-        self._emit({"e": "complete", "lease_id": lease_id, "index": index})
-        self._prune_if_terminal(job)
-        self._maybe_compact()
+        if store is not None:
+            store(manifest)
+        self._commit({"e": "complete", "lease_id": lease_id, "index": index})
         return point
 
     def fail(self, lease_id: str, index: int, error: str) -> SweepPoint:
         """Record a worker-reported failure for one leased point."""
         self.expire()
         lease = self._lease(lease_id)
-        job = self.jobs[lease.job_id]
-        point = self._point(job, lease, index)
+        point = self._point(self.jobs[lease.job_id], lease, index)
         if point.state == LEASED and point.lease_id == lease_id:
-            self.points_failed += 1
-            self._requeue_or_poison(job, point, error)
-            self._emit({"e": "fail", "lease_id": lease_id, "index": index,
-                        "error": error})
-            self._prune_if_terminal(job)
-            self._maybe_compact()
+            self._commit({"e": "fail", "lease_id": lease_id,
+                          "index": index, "error": error})
         return point
 
     def _point(self, job: SweepJob, lease: Lease, index: int) -> SweepPoint:
@@ -514,18 +476,21 @@ class JobQueue:
     _COUNTERS = ("leases_granted", "leases_expired", "points_completed",
                  "points_failed", "points_poisoned", "manifests_rejected")
 
-    def _emit(self, event: dict[str, Any]) -> None:
+    def _commit(
+        self,
+        event: dict[str, Any],
+        specs: Callable[[str], ExperimentSpec] | None = None,
+    ) -> None:
+        """Journal one decision, then apply it as :meth:`restore` would.
+
+        Compaction runs only after a whole event is applied, so every
+        snapshot holds a state replay reaches.  ``manifests_rejected``
+        (discarded input, not journaled) is the one counter bumped
+        outside this path.
+        """
         if self.journal is not None:
             self.journal.record(event)
-
-    def _maybe_compact(self) -> None:
-        """Fold the journal into a snapshot once it has grown enough.
-
-        Called at the *end* of each public mutator, never from
-        :meth:`_emit`: a snapshot taken mid-operation (events recorded
-        but pruning not yet run) would capture a state replay can never
-        reach, because replay applies each event atomically.
-        """
+        self._apply_event(event, specs)
         if self.journal is not None and self.journal.compaction_due:
             self.journal.compact(self.dump_state())
 
@@ -550,8 +515,8 @@ class JobQueue:
                     "lease_timeout_s": job.lease_timeout_s,
                     "points": [
                         {"index": p.index,
-                         "overrides": jsonify(p.overrides),
-                         "params": jsonify(p.params),
+                         "overrides": dict(p.overrides),
+                         "params": dict(p.params),
                          "key": p.key, "state": p.state,
                          "attempts": p.attempts,
                          "lease_id": p.lease_id, "error": p.error}
@@ -569,107 +534,68 @@ class JobQueue:
                     "remaining_s": lease.deadline - now,
                     "lease_timeout_s": lease.lease_timeout_s,
                     "alive": lease.alive,
-                    "done": sorted(lease.done),
                 }
                 for lease in self.leases.values()
             ],
         }
 
-    def _load_state(
+    def _add_job(
         self,
-        state: Mapping[str, Any],
+        blob: Mapping[str, Any],
         specs: Callable[[str], ExperimentSpec],
     ) -> None:
-        now = self.clock()
-        self._job_seq = state["job_seq"]
-        self._lease_seq = state["lease_seq"]
-        for name in self._COUNTERS:
-            setattr(self, name, state["counters"][name])
-        for blob in state["jobs"]:
-            points = [
-                SweepPoint(
-                    index=p["index"], overrides=dict(p["overrides"]),
-                    params=dict(p["params"]), key=p["key"],
-                    state=p["state"], attempts=p["attempts"],
-                    lease_id=p["lease_id"], error=p["error"],
-                )
-                for p in blob["points"]
-            ]
-            job = SweepJob(
-                job_id=blob["job_id"],
-                spec=self._spec_for(blob["spec"], specs),
-                quick=blob["quick"],
-                points=points,
-                max_attempts=blob["max_attempts"],
-                lease_timeout_s=blob["lease_timeout_s"],
-                open_points=sum(p.state in (PENDING, LEASED)
-                                for p in points),
-            )
-            self.jobs[job.job_id] = job
-        for blob in state["leases"]:
-            lease = Lease(
-                lease_id=blob["lease_id"], job_id=blob["job_id"],
-                worker=blob["worker"], indexes=tuple(blob["indexes"]),
-                deadline=now + blob["remaining_s"],
-                lease_timeout_s=blob["lease_timeout_s"],
-                alive=blob["alive"], done=set(blob["done"]),
-            )
-            self.leases[lease.lease_id] = lease
-
-    @staticmethod
-    def _spec_for(
-        name: str, specs: Callable[[str], ExperimentSpec]
-    ) -> ExperimentSpec:
+        """Decode one job from a ``submit`` event or a snapshot entry."""
         try:
-            return specs(name)
+            spec = specs(blob["spec"])
         except KeyError:
             raise ValueError(
-                f"journaled state references experiment spec {name!r}, "
-                f"which this build does not register — the state dir "
-                f"was written by different code"
+                f"journaled state references experiment spec "
+                f"{blob['spec']!r}, which this build does not register "
+                f"— the state dir was written by different code"
             ) from None
+        points = [
+            SweepPoint(
+                index=p["index"], overrides=dict(p["overrides"]),
+                params=dict(p["params"]), key=p["key"], state=p["state"],
+                attempts=p.get("attempts", 0), lease_id=p.get("lease_id"),
+                error=p.get("error"),
+            )
+            for p in blob["points"]
+        ]
+        self.jobs[blob["job_id"]] = SweepJob(
+            job_id=blob["job_id"],
+            spec=spec,
+            quick=blob["quick"],
+            points=points,
+            max_attempts=blob["max_attempts"],
+            lease_timeout_s=blob["lease_timeout_s"],
+            open_points=sum(p.state in (PENDING, LEASED) for p in points),
+        )
+        self._job_seq = max(self._job_seq, _trailing_int(blob["job_id"]))
 
     def _apply_event(
         self,
         event: Mapping[str, Any],
-        specs: Callable[[str], ExperimentSpec],
+        specs: Callable[[str], ExperimentSpec] | None,
     ) -> None:
-        """Replay one journal event.
+        """Apply one event: the only code that changes queue state.
 
-        Events record the queue's *decisions* (who leased what, which
-        completes were first), so replay is pure bookkeeping — no
-        clocks, no manifest re-validation — and deterministic by
-        construction: the same event sequence always rebuilds the same
-        state, which :meth:`dump_state` equality locks in the tests.
+        Events record the *decisions* the public mutators took before
+        committing (who leased what, which point failed), so applying
+        is pure bookkeeping — no validation, no choices; the clock is
+        read only for lease deadlines — and the same event sequence
+        always builds the same state.  ``specs`` resolves a submit
+        event's spec name.
         """
         kind = event.get("e")
         if kind == "submit":
-            points = [
-                SweepPoint(
-                    index=p["index"], overrides=dict(p["overrides"]),
-                    params=dict(p["params"]), key=p["key"],
-                    state=p["state"],
-                )
-                for p in event["points"]
-            ]
-            job = SweepJob(
-                job_id=event["job_id"],
-                spec=self._spec_for(event["spec"], specs),
-                quick=event["quick"],
-                points=points,
-                max_attempts=event["max_attempts"],
-                lease_timeout_s=event["lease_timeout_s"],
-                open_points=sum(p.state in (PENDING, LEASED)
-                                for p in points),
-            )
-            self.jobs[job.job_id] = job
-            self.points_completed += sum(p.state == DONE for p in points)
-            self._job_seq = max(self._job_seq,
-                                _trailing_int(job.job_id))
+            self._add_job(event, specs)
+            self.points_completed += sum(p["state"] == DONE
+                                         for p in event["points"])
         elif kind == "lease":
             job = self.jobs[event["job_id"]]
             lease = Lease(
-                lease_id=event["lease_id"], job_id=event["job_id"],
+                lease_id=event["lease_id"], job_id=job.job_id,
                 worker=event["worker"],
                 indexes=tuple(event["indexes"]),
                 deadline=self.clock() + event["lease_timeout_s"],
@@ -686,8 +612,7 @@ class JobQueue:
                                   _trailing_int(lease.lease_id))
         elif kind == "heartbeat":
             lease = self.leases[event["lease_id"]]
-            if lease.alive:
-                lease.deadline = self.clock() + lease.lease_timeout_s
+            lease.deadline = self.clock() + lease.lease_timeout_s
         elif kind == "complete":
             lease = self.leases[event["lease_id"]]
             job = self.jobs[lease.job_id]
@@ -699,63 +624,18 @@ class JobQueue:
                 point.lease_id = None
                 point.error = None
                 self.points_completed += 1
-            lease.done.add(event["index"])
             self._prune_if_terminal(job)
         elif kind == "fail":
             lease = self.leases[event["lease_id"]]
             job = self.jobs[lease.job_id]
-            point = job.points[event["index"]]
-            if point.state == LEASED and point.lease_id == lease.lease_id:
-                self.points_failed += 1
-                self._requeue_or_poison(job, point, event["error"])
-                self._prune_if_terminal(job)
+            self.points_failed += 1
+            self._requeue_or_poison(job, job.points[event["index"]],
+                                    event["error"])
+            self._prune_if_terminal(job)
         elif kind == "expire":
-            # Live code reaps a batch of overdue leases and prunes
-            # after the whole batch; replay prunes per event, so a
-            # later event in the batch may name a lease pruning already
-            # dropped.  Its voiding was a no-op (all points finished —
-            # that's what made the job terminal), so only the counter
-            # still applies.
-            self.leases_expired += 1
-            lease = self.leases.get(event["lease_id"])
-            if lease is not None:
-                lease.alive = False
-                self._void_lease_points(lease)
-                self._prune_if_terminal(self.jobs[lease.job_id])
+            self._void_lease_points(event["lease_id"], None)
         else:
             raise ValueError(f"unknown journal event kind {kind!r}")
-
-    def _expire_outstanding(self, reason: str) -> int:
-        """Void every live lease (conservative post-restore policy).
-
-        The restored deadlines cannot be trusted — the coordinator may
-        have been down for longer than any lease timeout, and the
-        workers holding them may be gone.  Voiding re-queues their
-        unfinished points under the normal retry budget; a worker that
-        is in fact still alive simply re-leases (or lands its finished
-        points via the late-complete path, since the dead lease objects
-        are retained until the job is terminal).
-        """
-        voided = []
-        for lease in self.leases.values():
-            if not lease.alive:
-                continue
-            lease.alive = False
-            self.leases_expired += 1
-            voided.append(lease)
-            job = self.jobs[lease.job_id]
-            for index in lease.indexes:
-                point = job.points[index]
-                if point.state == LEASED \
-                        and point.lease_id == lease.lease_id:
-                    self._requeue_or_poison(
-                        job, point,
-                        f"lease {lease.lease_id} "
-                        f"(worker {lease.worker}) voided: {reason}",
-                    )
-        for lease in voided:
-            self._prune_if_terminal(self.jobs[lease.job_id])
-        return len(voided)
 
     @classmethod
     def restore(
@@ -778,6 +658,10 @@ class JobQueue:
         fresh state dir yields an empty queue — ``restore`` doubles as
         "open or create".
 
+        Restored deadlines cannot be trusted (the coordinator may have
+        been down past any timeout); a worker that is in fact alive
+        re-leases, or lands finished points as late completes.
+
         ``specs`` resolves a spec name to its registered
         :class:`~repro.runtime.spec.ExperimentSpec` (usually
         :func:`repro.runtime.spec.get_spec`); journaled state naming a
@@ -787,11 +671,30 @@ class JobQueue:
         queue = cls(clock=clock, lease_timeout_s=lease_timeout_s,
                     max_attempts=max_attempts)
         if state is not None:
-            queue._load_state(state, specs)
+            queue._job_seq = state["job_seq"]
+            queue._lease_seq = state["lease_seq"]
+            for name in cls._COUNTERS:
+                setattr(queue, name, state["counters"][name])
+            for blob in state["jobs"]:
+                queue._add_job(blob, specs)
+            now = clock()
+            for blob in state["leases"]:
+                # older snapshots also carry a per-lease ``done`` set
+                # that nothing reads
+                queue.leases[blob["lease_id"]] = Lease(
+                    lease_id=blob["lease_id"], job_id=blob["job_id"],
+                    worker=blob["worker"], indexes=tuple(blob["indexes"]),
+                    deadline=now + blob["remaining_s"],
+                    lease_timeout_s=blob["lease_timeout_s"],
+                    alive=blob["alive"],
+                )
         for event in events:
             queue._apply_event(event, specs)
         if expire_outstanding:
-            queue._expire_outstanding("coordinator restart")
+            for lease_id in [lease.lease_id
+                             for lease in queue.leases.values()
+                             if lease.alive]:
+                queue._void_lease_points(lease_id, "coordinator restart")
         queue.journal = journal
         if compact:
             journal.compact(queue.dump_state())

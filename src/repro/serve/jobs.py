@@ -43,18 +43,19 @@ def _job_status(job: SweepJob) -> api.SweepJobStatus:
 class JobHost:
     """One coordinator's queued sweeps, spoken in wire types.
 
-    ``cache=None`` keeps accepted manifests in memory only (tests);
-    with a cache, every accepted manifest is persisted under
-    ``<root>/<spec>/<key>.json`` immediately, and points whose
-    manifests the cache already holds are pre-completed at submission
-    — a queue job over an already-swept grid finishes instantly.
+    Accepted manifests have one store.  With a cache it is the cache:
+    each is persisted under ``<root>/<spec>/<key>.json`` before its
+    completion is journaled, and points whose manifests the cache
+    already holds are pre-completed at submission — a queue job over
+    an already-swept grid finishes instantly.  ``cache=None`` keeps
+    them in memory only (tests, ``serve --no-cache``).
     """
 
     def __init__(self, queue: JobQueue | None = None, *,
                  cache: ResultCache | None = None):
         self.queue = queue if queue is not None else JobQueue()
         self.cache = cache
-        #: accepted manifests by task key (authoritative when cache=None)
+        #: accepted manifests by task key, only when cache=None
         self._manifests: dict[str, dict[str, Any]] = {}
 
     def tick(self) -> None:
@@ -191,12 +192,16 @@ class JobHost:
                 f"manifest: expected a manifest object, got "
                 f"{type(manifest).__name__}"
             )
-        point = self.queue.complete(lease_id, index, manifest)
+        point = self.queue.complete(lease_id, index, manifest,
+                                    store=self._store_manifest)
+        return {"schema": api.SCHEMA_VERSION, "ok": True, "key": point.key}
+
+    def _store_manifest(self, manifest: Mapping[str, Any]) -> None:
         stored = dict(manifest)
-        self._manifests[point.key] = stored
         if self.cache is not None:
             self.cache.store(stored)
-        return {"schema": api.SCHEMA_VERSION, "ok": True, "key": point.key}
+        else:
+            self._manifests[stored["key"]] = stored
 
     def fail_wire(
         self, lease_id: str, wire: Mapping[str, Any]
@@ -243,9 +248,10 @@ class JobHost:
         for point in job.points:
             if point.state != DONE:
                 continue
-            manifest = self._manifests.get(point.key)
-            if manifest is None and self.cache is not None:
+            if self.cache is not None:
                 manifest = self.cache.lookup(job.spec.name, point.key)
+            else:
+                manifest = self._manifests.get(point.key)
             if manifest is not None:
                 manifests.append(manifest)
         return {

@@ -3,9 +3,10 @@
 The expensive paper-shape assertions live in test_paper_claims.py; here
 we verify each driver runs and returns the structure its figure needs.
 """
+import sys
+
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import (
     ablation_grouping,
     fig03_footprint,
@@ -21,22 +22,25 @@ from repro.experiments import (
 
 
 def test_registry_complete():
-    assert set(ALL_EXPERIMENTS) == {
+    """The registry holds the 15 artifacts in the canonical order."""
+    from repro.runtime import spec_names
+
+    assert spec_names() == (
         "fig3", "fig4", "fig6", "fig10", "fig11", "fig12", "fig13",
-        "fig14", "tab2", "ablation", "precision", "headline", "scaling",
-        "latency_sweep", "energy_sweep",
-    }
+        "fig14", "tab2", "ablation", "precision", "headline",
+        "latency_sweep", "energy_sweep", "scaling",
+    )
 
 
 def test_modules_register_specs():
     """Every driver module registers a matching runtime spec."""
-    from repro.runtime import get_spec
+    from repro.runtime import all_specs
 
-    for name, module in ALL_EXPERIMENTS.items():
-        spec = get_spec(name)
+    for spec in all_specs():
+        module = sys.modules[spec.module]
+        assert module.__name__.startswith("repro.experiments.")
         assert spec.produce is module.run
         assert spec.render is module.render
-        assert spec.module == module.__name__
 
 
 class TestFig3:

@@ -93,8 +93,8 @@ def test_export_all_writes_file(tmp_path, monkeypatch):
     from repro.experiments import fig04_grouping, tab02_area
 
     monkeypatch.setattr(
-        "repro.experiments.ALL_EXPERIMENTS",
-        {"fig4": fig04_grouping, "tab2": tab02_area},
+        "repro.runtime.spec._REGISTRY",
+        {"fig4": fig04_grouping.SPEC, "tab2": tab02_area.SPEC},
     )
     path = tmp_path / "results.json"
     results = export_mod.export_all(str(path))

@@ -82,7 +82,7 @@ class TestScheduleCli:
         from repro.experiments.runner import main
 
         monkeypatch.setattr(
-            "repro.experiments.ALL_EXPERIMENTS", {"fig4": fig04_grouping}
+            "repro.runtime.spec._REGISTRY", {"fig4": fig04_grouping.SPEC}
         )
         path = str(tmp_path / "out.json")
         assert main(["export", path]) == 0

@@ -325,11 +325,11 @@ class TestListBenchSweep:
 
     def test_export_subcommand(self, capsys, tmp_path, cache_dir,
                                monkeypatch):
+        from repro.runtime import get_spec
+
         monkeypatch.setattr(
-            "repro.experiments.ALL_EXPERIMENTS",
-            {k: v for k, v in __import__(
-                "repro.experiments", fromlist=["ALL_EXPERIMENTS"]
-            ).ALL_EXPERIMENTS.items() if k in ("fig3", "tab2")},
+            "repro.runtime.spec._REGISTRY",
+            {k: get_spec(k) for k in ("fig3", "tab2")},
         )
         path = tmp_path / "results.json"
         assert main(["export", str(path), "--cache-dir", cache_dir]) == 0

@@ -21,7 +21,7 @@ import pytest
 
 from repro.runtime.cache import spec_fingerprint
 from repro.runtime.journal import Journal, JournalError
-from repro.runtime.queue import DONE, PENDING, POISONED, JobQueue
+from repro.runtime.queue import DONE, LEASED, PENDING, POISONED, JobQueue
 from repro.runtime.spec import ExperimentSpec, expand_grid
 
 
@@ -263,14 +263,34 @@ class TestQueueReplay:
         assert normalized(mirror.dump_state()) \
             == normalized(queue.dump_state())
 
+    def test_one_expire_call_voids_two_leases_of_one_job(self, tmp_path):
+        # voiding the first lease poisons the job's last open point, so
+        # the job turns terminal and the second lease is pruned before
+        # its own expire event applies
+        queue, clock, _ = make_journaled_queue(tmp_path, max_attempts=1)
+        job = queue.submit(SPEC, GRID[:2])
+        queue.lease("w1")
+        _, second, points = queue.lease("w2")
+        queue.complete(second.lease_id, points[0].index,
+                       manifest_for(points[0]))
+        clock.advance(11.0)
+        assert queue.expire() == 2
+        assert queue.leases_expired == 2
+        assert queue.leases == {}
+        assert job.state == "failed"
+        mirror = restore_mirror(tmp_path, clock)
+        assert normalized(mirror.dump_state()) \
+            == normalized(queue.dump_state())
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_replay_matches_live_for_random_histories(self, tmp_path, seed):
         """Property: replay(journal) == live queue, whatever happened.
 
-        Drives a journaled queue through a random mix of submits,
-        partial leases, completes, fails, heartbeats, and clock jumps
-        past the lease timeout, then checks the reconstruction after
-        every few steps — i.e. for arbitrary event-log prefixes.
+        Drives a journaled queue through a random mix of submits (some
+        rejected for an unknown axis, the host's 400), partial leases,
+        completes, fails, heartbeats, and clock jumps past the lease
+        timeout, then checks the reconstruction after every few steps —
+        i.e. for arbitrary event-log prefixes.
         """
         rng = random.Random(seed)
         queue, clock, _ = make_journaled_queue(
@@ -280,8 +300,12 @@ class TestQueueReplay:
         for step in range(40):
             op = rng.random()
             if op < 0.15:
-                size = rng.randrange(1, len(GRID) + 1)
-                queue.submit(SPEC, GRID[:size])
+                grid = GRID[:rng.randrange(1, len(GRID) + 1)]
+                if rng.random() < 0.3:  # rejected: must record nothing
+                    with pytest.raises(KeyError):
+                        queue.submit(SPEC, grid + [{"z": 1}])
+                else:
+                    queue.submit(SPEC, grid)
             elif op < 0.45:
                 granted = queue.lease(f"w{rng.randrange(3)}",
                                       max_points=rng.randrange(1, 3))
@@ -315,6 +339,105 @@ class TestQueueReplay:
         mirror = restore_mirror(tmp_path, clock)
         assert normalized(mirror.dump_state()) \
             == normalized(queue.dump_state())
+
+
+# ---------------------------------------------------------------------------
+# State dirs written by earlier code
+
+
+#: ``snapshot.json`` as the queue wrote it while leases still carried a
+#: write-only ``done`` set: one job over GRID (max_attempts 2, lease
+#: timeout 10 s), point 0 done through lease-1, points 1 and 2 leased.
+OLD_SNAPSHOT = (
+    '{"n": 4, "schema": 1, "state": {"counters": {"leases_expired": 0, '
+    '"leases_granted": 2, "manifests_rejected": 0, "points_completed": '
+    '1, "points_failed": 0, "points_poisoned": 0}, "job_seq": 1, '
+    '"jobs": [{"job_id": "job-1", "lease_timeout_s": 10.0, '
+    '"max_attempts": 2, "points": [{"attempts": 1, "error": null, '
+    '"index": 0, "key": "27453928b18f9e0ae257e82a", "lease_id": null, '
+    '"overrides": {"x": 0, "y": 1}, "params": {"x": 0, "y": 1}, '
+    '"state": "done"}, {"attempts": 1, "error": null, "index": 1, '
+    '"key": "696b2888c9e865447759101c", "lease_id": "lease-1", '
+    '"overrides": {"x": 0, "y": 2}, "params": {"x": 0, "y": 2}, '
+    '"state": "leased"}, {"attempts": 1, "error": null, "index": 2, '
+    '"key": "ec9a3fd95859b6edead0a000", "lease_id": "lease-2", '
+    '"overrides": {"x": 1, "y": 1}, "params": {"x": 1, "y": 1}, '
+    '"state": "leased"}, {"attempts": 0, "error": null, "index": 3, '
+    '"key": "b06e1df3f652f1974c7a1630", "lease_id": null, "overrides": '
+    '{"x": 1, "y": 2}, "params": {"x": 1, "y": 2}, "state": '
+    '"pending"}], "quick": false, "spec": "jtest"}], "lease_seq": 2, '
+    '"leases": [{"alive": true, "done": [0], "indexes": [0, 1], '
+    '"job_id": "job-1", "lease_id": "lease-1", "lease_timeout_s": 10.0, '
+    '"remaining_s": 10.0, "worker": "w1"}, {"alive": true, "done": [], '
+    '"indexes": [2], "job_id": "job-1", "lease_id": "lease-2", '
+    '"lease_timeout_s": 10.0, "remaining_s": 10.0, "worker": "w2"}]}}'
+)
+
+#: ``journal.jsonl`` after that snapshot, up to the crash: lease-1
+#: heartbeats, point 2 fails, lease-2 expires, lease-3 takes point 2,
+#: lease-1 completes point 1 and expires.  lease-3 is still live.
+OLD_JOURNAL = (
+    '{"e": "heartbeat", "lease_id": "lease-1", "n": 5}\n'
+    '{"e": "fail", "error": "boom", "index": 2, "lease_id": "lease-2", '
+    '"n": 6}\n'
+    '{"e": "expire", "lease_id": "lease-2", "n": 7}\n'
+    '{"e": "lease", "indexes": [2], "job_id": "job-1", "lease_id": '
+    '"lease-3", "lease_timeout_s": 10.0, "n": 8, "worker": "w3"}\n'
+    '{"e": "complete", "index": 1, "lease_id": "lease-1", "n": 9}\n'
+    '{"e": "expire", "lease_id": "lease-1", "n": 10}\n'
+)
+
+
+class TestOldStateDir:
+    def restore(self, tmp_path, **kwargs):
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "snapshot.json").write_text(OLD_SNAPSHOT)
+        (state / "journal.jsonl").write_text(OLD_JOURNAL)
+        return JobQueue.restore(
+            Journal(state, fsync=False), specs=get_test_spec,
+            clock=FakeClock(), max_attempts=2, **kwargs)
+
+    @staticmethod
+    def points(queue):
+        return [(p.state, p.attempts, p.lease_id, p.error)
+                for p in queue.jobs["job-1"].points]
+
+    def test_replays_to_the_queue_at_the_crash(self, tmp_path):
+        queue = self.restore(tmp_path, expire_outstanding=False,
+                             compact=False)
+        assert self.points(queue) == [
+            (DONE, 1, None, None),
+            (DONE, 1, None, None),
+            (LEASED, 2, "lease-3", "boom"),
+            (PENDING, 0, None, None),
+        ]
+        assert {lid: lease.alive for lid, lease in queue.leases.items()} \
+            == {"lease-1": False, "lease-2": False, "lease-3": True}
+        assert queue.stats() == {
+            "jobs": 1, "leases_live": 3, "leases_granted": 3,
+            "leases_expired": 2, "points_completed": 2,
+            "points_failed": 1, "points_poisoned": 0,
+            "manifests_rejected": 0,
+        }
+        assert (queue._job_seq, queue._lease_seq) == (1, 3)
+
+    def test_restart_voids_the_live_lease_and_drops_done(self, tmp_path):
+        queue = self.restore(tmp_path)
+        voided = "lease lease-3 (worker w3) voided: coordinator restart"
+        assert self.points(queue)[2] == (POISONED, 2, None, voided)
+        assert queue.leases_expired == 3
+        assert not any(lease.alive for lease in queue.leases.values())
+        snap = json.loads(queue.journal.snapshot_path.read_text())
+        assert all("done" not in lease for lease in snap["state"]["leases"])
+        # the restored queue keeps working: the last point drains
+        job, lease, points = queue.lease("w4", max_points=4)
+        assert [p.index for p in points] == [3]
+        queue.complete(lease.lease_id, 3, manifest_for(points[0]))
+        assert job.state == "failed" and queue.all_terminal
+        assert queue.leases == {}
+        assert queue.lease("w4") is None
+        assert queue.submit(SPEC, GRID[:1]).job_id == "job-2"
 
 
 # ---------------------------------------------------------------------------

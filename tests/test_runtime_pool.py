@@ -168,7 +168,7 @@ class TestProcessPool:
 class TestDeterminism:
     def test_serial_and_parallel_manifests_byte_identical(self, tmp_path):
         """Real specs: --jobs 1 and --jobs 4 agree to the byte."""
-        from repro.experiments import ALL_EXPERIMENTS  # noqa: F401
+        import repro.experiments  # noqa: F401  (registers the specs)
         from repro.runtime import get_spec
 
         specs = [get_spec(n) for n in ("fig3", "fig4", "tab2", "precision")]

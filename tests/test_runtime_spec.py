@@ -38,6 +38,19 @@ class TestResolveParams:
 
 
 class TestRegistry:
+    @pytest.fixture(autouse=True)
+    def _private_registry(self, monkeypatch):
+        """Register into a copy, so the demo specs never reach the CLI.
+
+        ``mbs-repro list``/``all``/``export`` iterate the registry, so a
+        demo spec left behind would join every later run in this
+        process.  The real specs are registered first: importing
+        ``repro.experiments`` under the copy would lose them with it.
+        """
+        import repro.experiments  # noqa: F401  (registers the specs)
+
+        monkeypatch.setattr(spec_mod, "_REGISTRY", dict(spec_mod._REGISTRY))
+
     def test_reregister_same_module_is_idempotent(self):
         register(make_spec(name="demo_idem"))
         register(make_spec(name="demo_idem", defaults={"x": 2}))

@@ -383,6 +383,63 @@ class TestJobsHttp:
         assert all(m["spec"] == "fig3" for m in dump["manifests"])
 
 
+class _DyingCache(ResultCache):
+    """A cache whose store dies: a coordinator SIGKILLed mid-upload."""
+
+    def store(self, manifest):
+        raise OSError("coordinator killed while storing the manifest")
+
+
+class TestManifestStoredBeforeCompletion:
+    def test_store_dying_after_validation_leaves_point_open(self, tmp_path):
+        # the manifest is written to its one store before the completion
+        # is journaled: a crash in between loses the upload, never the
+        # point — restore re-queues it instead of reporting it done
+        # with no manifest to serve
+        from repro.runtime.journal import Journal
+
+        state = tmp_path / "state"
+        axes = {"net_name": ["resnet50"], "mini_batch": [16],
+                "buffer_mib": [5, 10]}
+        host = JobHost(
+            JobQueue.restore(Journal(state, fsync=False), specs=get_spec),
+            cache=_DyingCache(tmp_path / "coord-cache"),
+        )
+        job_id = host.submit_wire(_submit_wire(axes=axes))["job_id"]
+        grant = host.lease_wire({"schema": 1, "worker": "w1",
+                                 "max_points": 2})["lease"]
+        results = run_tasks(
+            [Task(get_spec("fig3"), p["overrides"], quick=True)
+             for p in grant["points"]],
+            cache=ResultCache(tmp_path / "worker-cache"),
+        )
+        uploads = {p["index"]: {"schema": 1, "index": p["index"],
+                                "manifest": r.manifest}
+                   for p, r in zip(grant["points"], results)}
+        with pytest.raises(OSError, match="killed"):
+            host.complete_wire(grant["lease_id"], uploads[0])
+        host.queue.journal.close()
+
+        # restart on the same state dir, now with a working cache
+        host = JobHost(
+            JobQueue.restore(Journal(state, fsync=False), specs=get_spec),
+            cache=ResultCache(tmp_path / "coord-cache"),
+        )
+        status = host.job_wire(job_id)
+        assert (status["state"], status["done"], status["pending"]) \
+            == ("running", 0, 2)
+        while (grant := host.lease_wire(
+                {"schema": 1, "worker": "w2"})["lease"]) is not None:
+            for point in grant["points"]:
+                host.complete_wire(grant["lease_id"],
+                                   uploads[point["index"]])
+        dump = host.manifests_wire(job_id)
+        host.queue.journal.close()
+        assert dump["job"]["state"] == "done"
+        assert [m["key"] for m in dump["manifests"]] \
+            == [r.key for r in results]
+
+
 # ---------------------------------------------------------------------------
 # client URL parsing + retry plumbing (no sockets)
 # ---------------------------------------------------------------------------
