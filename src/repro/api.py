@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -82,8 +83,79 @@ __all__ = [
     "sweep",
 ]
 
-#: Wire-schema version shared by ScheduleRequest/ScheduleResult.
+#: Wire-schema version of every ``/v1`` body, request and response.
 SCHEMA_VERSION = 1
+
+#: Largest ``buffer_bytes`` / ``mini_batch`` / ``word_bytes`` a request
+#: may carry: every quantity priced from them stays far inside float
+#: range.
+MAX_WIRE_INT = 2**53
+
+
+def read_envelope(wire: Any, noun: str, keys: Sequence[str], *,
+                  required: Sequence[str] = (),
+                  strict: bool = True) -> dict[str, Any]:
+    """Check one ``/v1`` wire object's envelope; return its ``keys`` present.
+
+    ``wire`` must be a JSON object whose ``schema`` is absent or exactly
+    the integer :data:`SCHEMA_VERSION`, holding every ``required`` key.
+    A ``strict`` request body may hold no key outside ``keys``; a
+    response ignores them, so an older client reads a newer server.
+    """
+    if not isinstance(wire, Mapping):
+        raise ValueError(
+            f"{noun} must be a JSON object, got {type(wire).__name__}"
+        )
+    schema = wire.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported {noun} schema {schema!r}; this build speaks "
+            f"schema {SCHEMA_VERSION}"
+        )
+    unknown = set(wire) - set(keys) - {"schema"} if strict else ()
+    if unknown:
+        raise ValueError(
+            f"unknown {noun} key(s) {sorted(unknown, key=str)}; "
+            f"allowed: {list(keys)}"
+        )
+    missing = [k for k in required if k not in wire]
+    if missing:
+        raise ValueError(f"{noun} missing key(s) {missing}")
+    return {k: wire[k] for k in keys if k in wire}
+
+
+def read_int(value: Any, path: str, *, minimum: int = 1,
+             maximum: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) from ``minimum`` (1,
+    or 0 for an index) to ``maximum``, else a ``ValueError`` naming
+    ``path``."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and value >= minimum
+            and (maximum is None or value <= maximum)):
+        return value
+    kind = "a positive" if minimum == 1 else "a non-negative"
+    bound = "" if maximum is None else f" at most {maximum}"
+    raise ValueError(f"{path}: expected {kind} integer{bound}, got {value!r}")
+
+
+def read_seconds(value: Any, path: str) -> float:
+    """``value`` if it is a positive finite number of seconds, else a
+    ``ValueError`` naming ``path``."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < sys.float_info.max):  # False for NaN
+        return value
+    raise ValueError(
+        f"{path}: expected a positive finite number of seconds, got "
+        f"{value!r}"
+    )
+
+
+def read_str(value: Any, path: str) -> str:
+    """``value`` if it is a non-empty string, else a ``ValueError``
+    naming ``path``."""
+    if isinstance(value, str) and value:
+        return value
+    raise ValueError(f"{path}: expected a non-empty string, got {value!r}")
 
 
 def policies() -> tuple[str, ...]:
@@ -131,11 +203,7 @@ class ScheduleRequest:
     def resolve_network(self) -> Network:
         """Build the named zoo network or decode the inline graph."""
         if self.network is not None:
-            if not isinstance(self.network, str):
-                raise ValueError(
-                    f"'network' must be a zoo name string, got "
-                    f"{type(self.network).__name__}"
-                )
+            read_str(self.network, "network")
             try:
                 return build_zoo_network(self.network)
             except KeyError as exc:
@@ -153,24 +221,7 @@ class ScheduleRequest:
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "ScheduleRequest":
         """Decode and validate a request dict (HTTP body / CLI JSON)."""
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"request must be a JSON object, got {type(wire).__name__}"
-            )
-        schema = wire.get("schema", SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported request schema {schema!r}; this build "
-                f"speaks schema {SCHEMA_VERSION}"
-            )
-        unknown = set(wire) - set(cls._WIRE_KEYS) - {"schema"}
-        if unknown:
-            raise ValueError(
-                f"unknown request key(s) {sorted(unknown)}; allowed: "
-                f"{list(cls._WIRE_KEYS)}"
-            )
-        kwargs = {k: wire[k] for k in cls._WIRE_KEYS if k in wire}
-        req = cls(**kwargs)
+        req = cls(**read_envelope(wire, "request", cls._WIRE_KEYS))
         req.validate()
         return req
 
@@ -187,13 +238,8 @@ class ScheduleRequest:
             )
         for name in ("buffer_bytes", "mini_batch", "word_bytes"):
             value = getattr(self, name)
-            if name == "mini_batch" and value is None:
-                continue  # the network's default mini-batch
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value <= 0):
-                raise ValueError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+            if name != "mini_batch" or value is not None:
+                read_int(value, name, maximum=MAX_WIRE_INT)
         if not (self.relu_mask is None or self.relu_mask == "auto"
                 or isinstance(self.relu_mask, bool)):
             raise ValueError(
@@ -274,14 +320,8 @@ class ScheduleResult:
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "ScheduleResult":
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"result must be a JSON object, got {type(wire).__name__}"
-            )
-        missing = [k for k in cls._WIRE_KEYS if k not in wire]
-        if missing:
-            raise ValueError(f"result wire object missing key(s) {missing}")
-        kwargs = {k: wire[k] for k in cls._WIRE_KEYS}
+        kwargs = read_envelope(wire, "result", cls._WIRE_KEYS,
+                               required=cls._WIRE_KEYS, strict=False)
         kwargs["groups"] = tuple(
             GroupSummary(**g) for g in kwargs["groups"]
         )
@@ -361,34 +401,14 @@ class SweepJobRequest:
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "SweepJobRequest":
         """Decode and validate a job submission (HTTP body / CLI JSON)."""
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"job request must be a JSON object, got "
-                f"{type(wire).__name__}"
-            )
-        schema = wire.get("schema", SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported job schema {schema!r}; this build speaks "
-                f"schema {SCHEMA_VERSION}"
-            )
-        unknown = set(wire) - set(cls._WIRE_KEYS) - {"schema"}
-        if unknown:
-            raise ValueError(
-                f"unknown job request key(s) {sorted(unknown)}; allowed: "
-                f"{list(cls._WIRE_KEYS)}"
-            )
-        req = cls(**{k: wire[k] for k in cls._WIRE_KEYS if k in wire})
+        req = cls(**read_envelope(wire, "job request", cls._WIRE_KEYS,
+                                  required=("artifact",)))
         req.validate()
         return req
 
     def validate(self) -> None:
         """Field validation with path-qualified messages."""
-        if not isinstance(self.artifact, str) or not self.artifact:
-            raise ValueError(
-                f"artifact: expected a registered experiment name, got "
-                f"{self.artifact!r}"
-            )
+        read_str(self.artifact, "artifact")
         if self.axes is not None:
             if not isinstance(self.axes, Mapping):
                 raise ValueError(
@@ -396,11 +416,7 @@ class SweepJobRequest:
                     f"list of values, got {type(self.axes).__name__}"
                 )
             for name, values in self.axes.items():
-                if not isinstance(name, str) or not name:
-                    raise ValueError(
-                        f"axes: axis names must be non-empty strings, "
-                        f"got {name!r}"
-                    )
+                read_str(name, "axes: axis name")
                 if (isinstance(values, (str, bytes))
                         or not isinstance(values, Sequence)
                         or len(values) == 0):
@@ -412,22 +428,10 @@ class SweepJobRequest:
             raise ValueError(
                 f"quick: expected a boolean, got {self.quick!r}"
             )
-        if self.max_attempts is not None and (
-                not isinstance(self.max_attempts, int)
-                or isinstance(self.max_attempts, bool)
-                or self.max_attempts < 1):
-            raise ValueError(
-                f"max_attempts: expected a positive integer, got "
-                f"{self.max_attempts!r}"
-            )
-        if self.lease_timeout_s is not None and (
-                isinstance(self.lease_timeout_s, bool)
-                or not isinstance(self.lease_timeout_s, (int, float))
-                or self.lease_timeout_s <= 0):
-            raise ValueError(
-                f"lease_timeout_s: expected a positive number, got "
-                f"{self.lease_timeout_s!r}"
-            )
+        if self.max_attempts is not None:
+            read_int(self.max_attempts, "max_attempts")
+        if self.lease_timeout_s is not None:
+            read_seconds(self.lease_timeout_s, "lease_timeout_s")
 
     def describe(self) -> str:
         axes = (
@@ -480,15 +484,8 @@ class LeaseGrant:
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "LeaseGrant":
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"lease grant must be a JSON object, got "
-                f"{type(wire).__name__}"
-            )
-        missing = [k for k in cls._WIRE_KEYS if k not in wire]
-        if missing:
-            raise ValueError(f"lease grant missing key(s) {missing}")
-        kwargs = {k: wire[k] for k in cls._WIRE_KEYS}
+        kwargs = read_envelope(wire, "lease grant", cls._WIRE_KEYS,
+                               required=cls._WIRE_KEYS, strict=False)
         points = kwargs["points"]
         if not isinstance(points, Sequence) or isinstance(points, (str, bytes)):
             raise ValueError(
@@ -496,19 +493,10 @@ class LeaseGrant:
             )
         decoded = []
         for i, p in enumerate(points):
-            if not isinstance(p, Mapping):
-                raise ValueError(
-                    f"points[{i}]: expected an object, got "
-                    f"{type(p).__name__}"
-                )
-            index = p.get("index")
-            if not isinstance(index, int) or isinstance(index, bool) \
-                    or index < 0:
-                raise ValueError(
-                    f"points[{i}].index: expected a non-negative "
-                    f"integer, got {index!r}"
-                )
-            overrides = p.get("overrides")
+            p = read_envelope(p, f"points[{i}]", ("index", "overrides"),
+                              required=("index", "overrides"), strict=False)
+            index = read_int(p["index"], f"points[{i}].index", minimum=0)
+            overrides = p["overrides"]
             if not isinstance(overrides, Mapping):
                 raise ValueError(
                     f"points[{i}].overrides: expected an object, got "
@@ -560,15 +548,8 @@ class SweepJobStatus:
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "SweepJobStatus":
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"job status must be a JSON object, got "
-                f"{type(wire).__name__}"
-            )
-        missing = [k for k in cls._WIRE_KEYS if k not in wire]
-        if missing:
-            raise ValueError(f"job status missing key(s) {missing}")
-        return cls(**{k: wire[k] for k in cls._WIRE_KEYS})
+        return cls(**read_envelope(wire, "job status", cls._WIRE_KEYS,
+                                   required=cls._WIRE_KEYS, strict=False))
 
     def describe(self) -> str:
         return (

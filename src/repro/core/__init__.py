@@ -25,7 +25,6 @@ from repro.core.subbatch import feasible_sub_batch, iteration_count
 from repro.core.traffic import (
     TrafficOptions,
     TrafficReport,
-    block_traffic,
     compute_traffic,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "adaptive_grouping",
     "block_space_per_sample",
     "block_step_time",
-    "block_traffic",
     "compute_traffic",
     "exhaustive_grouping",
     "feasible_sub_batch",

@@ -32,22 +32,6 @@ def layer_live_bytes(layer: Layer, word_bytes: int = WORD_BYTES) -> int:
     return layer.in_shape.bytes(word_bytes) + layer.out_shape.bytes(word_bytes)
 
 
-def _chain_candidates(
-    layers: tuple[Layer, ...], extra_first: int, extra_rest: int, word_bytes: int
-) -> list[int]:
-    """Live-set candidates for a layer chain with held external tensors.
-
-    ``extra_first`` is added to the first layer (whose input is typically
-    the held tensor itself, so callers usually exclude it there — the
-    Eq. 1 / Eq. 2 ``l != 1`` guard); ``extra_rest`` to the others.
-    """
-    out = []
-    for i, layer in enumerate(layers):
-        extra = extra_first if i == 0 else extra_rest
-        out.append(layer_live_bytes(layer, word_bytes) + extra)
-    return out
-
-
 def _branch_candidates(
     branch: Branch,
     held_in: int,

@@ -717,18 +717,6 @@ def walk_block_traffic(
         _bwd_unfused(rep, net, sched, idx, opt)
 
 
-def block_traffic(
-    net: Network,
-    sched,
-    idx: int,
-    options: TrafficOptions | None = None,
-) -> TrafficReport:
-    """Both-phase traffic of block ``idx`` alone (full record detail)."""
-    rep = TrafficReport()
-    walk_block_traffic(rep, net, sched, idx, options)
-    return rep
-
-
 def block_traffic_total(
     net: Network,
     sched,
@@ -737,8 +725,9 @@ def block_traffic_total(
 ) -> int:
     """Both-phase traffic of block ``idx`` as a bare byte count.
 
-    Bit-identical to ``block_traffic(...).total_bytes`` (same walkers,
-    same integer additions) without building per-record objects.
+    Bit-identical to the ``total_bytes`` of a ``TrafficReport`` that
+    :func:`walk_block_traffic` fills (same walkers, same integer
+    additions) without building per-record objects.
     """
     rep = _SumTrafficReport()
     walk_block_traffic(rep, net, sched, idx, options)

@@ -360,7 +360,7 @@ def network_from_dict(obj: Any) -> Network:
     """
     obj = _expect_mapping(obj, "$")
     schema = _get(obj, "schema", "$")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise GraphSchemaError(
             f"$.schema: unsupported version {schema!r}; this build "
             f"speaks schema {SCHEMA_VERSION}"

@@ -119,38 +119,15 @@ class JobHost:
         worker whether to exit (every job terminal) or keep polling
         (work may still arrive).
         """
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"lease request must be a JSON object, got "
-                f"{type(wire).__name__}"
-            )
-        schema = wire.get("schema", api.SCHEMA_VERSION)
-        if schema != api.SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported lease schema {schema!r}; this build "
-                f"speaks schema {api.SCHEMA_VERSION}"
-            )
-        unknown = set(wire) - {"schema", "worker", "max_points", "job"}
-        if unknown:
-            raise ValueError(
-                f"unknown lease request key(s) {sorted(unknown)}; "
-                f"allowed: ['worker', 'max_points', 'job']"
-            )
-        worker = wire.get("worker")
-        if not isinstance(worker, str) or not worker:
-            raise ValueError(
-                f"worker: expected a non-empty worker id, got {worker!r}"
-            )
-        max_points = wire.get("max_points", 1)
-        if not isinstance(max_points, int) or isinstance(max_points, bool) \
-                or max_points < 1:
-            raise ValueError(
-                f"max_points: expected a positive integer, got "
-                f"{max_points!r}"
-            )
-        granted = self.queue.lease(
-            worker, max_points=max_points, job_id=wire.get("job")
-        )
+        wire = api.read_envelope(wire, "lease request",
+                                 ("worker", "max_points", "job"))
+        worker = api.read_str(wire.get("worker"), "worker")
+        max_points = api.read_int(wire.get("max_points", 1), "max_points")
+        job_id = wire.get("job")
+        if job_id is not None:
+            api.read_str(job_id, "job")
+        granted = self.queue.lease(worker, max_points=max_points,
+                                   job_id=job_id)
         if granted is None:
             return {
                 "schema": api.SCHEMA_VERSION,
@@ -176,8 +153,11 @@ class JobHost:
             "all_done": False,
         }
 
-    def heartbeat_wire(self, lease_id: str) -> dict[str, Any]:
+    def heartbeat_wire(
+        self, lease_id: str, wire: Mapping[str, Any]
+    ) -> dict[str, Any]:
         """``POST /v1/lease/<id>/heartbeat``: extend a live lease."""
+        api.read_envelope(wire, "heartbeat request", ())
         self.queue.heartbeat(lease_id)
         return {"schema": api.SCHEMA_VERSION, "ok": True}
 
@@ -185,7 +165,9 @@ class JobHost:
         self, lease_id: str, wire: Mapping[str, Any]
     ) -> dict[str, Any]:
         """``POST /v1/lease/<id>/complete``: upload one point's manifest."""
-        index = self._point_ref(wire, "manifest")
+        wire = api.read_envelope(wire, "complete request",
+                                 ("index", "manifest"))
+        index = api.read_int(wire.get("index"), "index", minimum=0)
         manifest = wire.get("manifest")
         if not isinstance(manifest, Mapping):
             raise ValueError(
@@ -207,31 +189,12 @@ class JobHost:
         self, lease_id: str, wire: Mapping[str, Any]
     ) -> dict[str, Any]:
         """``POST /v1/lease/<id>/fail``: report one point's failure."""
-        index = self._point_ref(wire, "error")
-        error = wire.get("error")
-        if not isinstance(error, str) or not error:
-            raise ValueError(
-                f"error: expected a non-empty message, got {error!r}"
-            )
+        wire = api.read_envelope(wire, "fail request", ("index", "error"))
+        index = api.read_int(wire.get("index"), "index", minimum=0)
+        error = api.read_str(wire.get("error"), "error")
         point = self.queue.fail(lease_id, index, error)
         return {"schema": api.SCHEMA_VERSION, "ok": True,
                 "state": point.state}
-
-    @staticmethod
-    def _point_ref(wire: Mapping[str, Any], payload_key: str) -> int:
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"body must be a JSON object with 'index' and "
-                f"{payload_key!r}, got {type(wire).__name__}"
-            )
-        index = wire.get("index")
-        if not isinstance(index, int) or isinstance(index, bool) \
-                or index < 0:
-            raise ValueError(
-                f"index: expected a non-negative point index, got "
-                f"{index!r}"
-            )
-        return index
 
     # -- results ------------------------------------------------------
 

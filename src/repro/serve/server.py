@@ -40,7 +40,6 @@ import json
 from typing import Any
 
 from repro import api
-from repro.graph.serialize import GraphSchemaError
 from repro.runtime.queue import (
     ExpiredLease,
     RejectedManifest,
@@ -228,6 +227,8 @@ class Server:
         whose content address disagrees with the coordinator's is 409
         (the worker must re-lease, not retry); everything else the
         wire schema rejects is a 400 with a path-qualified message.
+        Any other failure (a full disk under the cache, say) is a 500:
+        an answer, never a dropped connection.
         """
         if self.jobs is None:
             return 404, {"error": "job hosting is not enabled; start "
@@ -240,6 +241,8 @@ class Server:
             return 409, {"error": str(exc)}
         except (ValueError, KeyError, TypeError) as exc:
             return 400, {"error": str(exc)}
+        except Exception as exc:  # our fault, not the request's
+            return 500, {"error": f"internal error: {exc!r}"}
 
     def _jobs_dispatch(self, method: str, path: str,
                        body: bytes) -> tuple[int, dict[str, Any]]:
@@ -269,14 +272,8 @@ class Server:
                                                 "fail"):
                 if method != "POST":
                     return 405, {"error": "use POST"}
-                lease_id = parts[2]
-                if parts[3] == "heartbeat":
-                    return 200, self.jobs.heartbeat_wire(lease_id)
-                if parts[3] == "complete":
-                    return 200, self.jobs.complete_wire(
-                        lease_id, self._json(body)
-                    )
-                return 200, self.jobs.fail_wire(lease_id, self._json(body))
+                handler = getattr(self.jobs, f"{parts[3]}_wire")
+                return 200, handler(parts[2], self._json(body))
         return 404, {"error": f"no such path: {path}"}
 
     @staticmethod
@@ -293,14 +290,8 @@ class Server:
 
     async def _schedule(self, body: bytes) -> tuple[int, dict[str, Any]]:
         try:
-            wire = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, {"error": f"request body is not valid JSON: {exc}"}
-        if not isinstance(wire, dict):
-            return 400, {"error": "request body must be a JSON object"}
-        try:
-            result, meta = await self.engine.submit(wire)
-        except (GraphSchemaError, ValueError, KeyError, TypeError) as exc:
+            result, meta = await self.engine.submit(self._json(body))
+        except (ValueError, KeyError, TypeError) as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:  # pricing blew up: our bug, not theirs
             self.engine.stats.errors += 1

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.core.traffic import Phase, TrafficRecord, TrafficReport
-from repro.core.subbatch import sub_batch_sequence
 from repro.graph.blocks import Block
 from repro.graph.layers import Conv2D, Layer, LayerKind
 from repro.graph.network import Network
 from repro.wavecore.config import WaveCoreConfig
-from repro.wavecore.gemm import GemmPhase, conv_gemm, fc_gemm
+from repro.wavecore.gemm import GemmDims, GemmPhase, conv_gemm, fc_gemm
 from repro.wavecore.report import LayerTiming
 from repro.wavecore.tiling import gemm_cycles
 
@@ -56,6 +55,32 @@ def _gemm_phases(phase: Phase, skip_data_grad: bool = False) -> list[GemmPhase]:
     return [GemmPhase.DATA_GRAD, GemmPhase.WEIGHT_GRAD]
 
 
+def _layer_gemms(
+    layer: Layer,
+    phase: Phase,
+    mini_batch: int,
+    sub_batch: int,
+    skip_data_grad: bool,
+) -> Iterator[tuple[int, GemmDims]]:
+    """``(count, dims)`` of each distinct GEMM a systolic layer runs in
+    one phase over all sub-batch iterations.
+
+    The iterations have at most two sizes (``sub_batch``, then the
+    remainder; ``sub_batch`` 0 is one full-mini-batch pass), counted
+    with ``divmod`` rather than enumerated, so the cost is independent
+    of ``mini_batch``.
+    """
+    if sub_batch <= 0:
+        sizes = ((mini_batch, 1),)
+    else:
+        full, rem = divmod(mini_batch, sub_batch)
+        sizes = ((sub_batch, full), (rem, 1)) if rem else ((sub_batch, full),)
+    gemm = conv_gemm if isinstance(layer, Conv2D) else fc_gemm
+    for size, count in sizes:
+        for gp in _gemm_phases(phase, skip_data_grad):
+            yield count, gemm(layer, size, gp)
+
+
 def layer_compute(
     layer: Layer,
     phase: Phase,
@@ -67,23 +92,13 @@ def layer_compute(
     """Compute cost of one layer in one phase across all sub-batch
     iterations (``sub_batch`` 0 means a single full-mini-batch pass)."""
     if layer.kind in (LayerKind.CONV, LayerKind.FC):
-        sizes = sub_batch_sequence(mini_batch, sub_batch)
-        # the sequence has at most two distinct sizes: count each once
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
         cycles = 0
         macs = 0
-        for s, count in counts.items():
-            for gp in _gemm_phases(phase, skip_data_grad):
-                dims = (
-                    conv_gemm(layer, s, gp)
-                    if isinstance(layer, Conv2D)
-                    else fc_gemm(layer, s, gp)
-                )
-                t = gemm_cycles(dims, cfg)
-                cycles += count * t.cycles
-                macs += count * t.macs
+        for count, dims in _layer_gemms(layer, phase, mini_batch, sub_batch,
+                                        skip_data_grad):
+            t = gemm_cycles(dims, cfg)
+            cycles += count * t.cycles
+            macs += count * t.macs
         return LayerCompute(cycles=cycles, vector_s=0.0, macs=macs)
 
     passes = _VECTOR_PASSES.get((layer.kind, phase), 1.0)
@@ -247,22 +262,13 @@ def gbuf_bytes_for_layer(
 
     if layer.kind in (LayerKind.CONV, LayerKind.FC):
         total = 0
-        sizes = sub_batch_sequence(mini_batch, sub_batch)
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
-        for s, count in counts.items():
-            for gp in _gemm_phases(phase):
-                dims = (
-                    conv_gemm(layer, s, gp)
-                    if isinstance(layer, Conv2D)
-                    else fc_gemm(layer, s, gp)
-                )
-                row_tiles = max(1, ceil_div(dims.gh, cfg.tile_rows))
-                a_bytes = dims.gh * dims.k * word_bytes
-                b_bytes = row_tiles * dims.k * dims.gw * word_bytes
-                c_bytes = dims.gh * dims.gw * word_bytes
-                total += count * (a_bytes + b_bytes + c_bytes)
+        for count, dims in _layer_gemms(layer, phase, mini_batch, sub_batch,
+                                        skip_data_grad=False):
+            row_tiles = max(1, ceil_div(dims.gh, cfg.tile_rows))
+            a_bytes = dims.gh * dims.k * word_bytes
+            b_bytes = row_tiles * dims.k * dims.gw * word_bytes
+            c_bytes = dims.gh * dims.gw * word_bytes
+            total += count * (a_bytes + b_bytes + c_bytes)
         return total
 
     passes = _VECTOR_PASSES.get((layer.kind, phase), 1.0)

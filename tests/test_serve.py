@@ -468,16 +468,24 @@ def _post(port, body, path="/v1/schedule"):
 
 
 async def _with_server(fn, **engine_kwargs):
-    """Start a server on an ephemeral port, run ``fn(port)`` off-loop."""
+    """Start a server on an ephemeral port, run ``fn(port)`` off-loop.
+
+    Fails if the event loop reported any exception (a handler that
+    crashed and dropped its connection) while the server ran.
+    """
     engine_kwargs.setdefault("workers", 0)
     engine_kwargs.setdefault("batch_window_s", 0.002)
+    loop = asyncio.get_running_loop()
+    reported = []
+    loop.set_exception_handler(lambda _loop, context: reported.append(context))
     server = Server(ScheduleEngine(**engine_kwargs))
     await server.start()
-    loop = asyncio.get_running_loop()
     try:
-        return await loop.run_in_executor(None, fn, server.port)
+        result = await loop.run_in_executor(None, fn, server.port)
     finally:
         await server.aclose()
+    assert not reported, f"event loop reported: {reported}"
+    return result
 
 
 class TestHttp:

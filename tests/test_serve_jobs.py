@@ -181,21 +181,30 @@ class _Clock:
 
 async def _with_jobs_server(fn, *, cache=None, clock=None,
                             lease_timeout_s=30.0, max_attempts=3):
+    """Run ``fn(port, host)`` off-loop against a live job server.
+
+    Fails if the event loop reported any exception (a handler that
+    crashed and dropped its connection) while the server ran.
+    """
     kwargs = {"clock": clock} if clock is not None else {}
     host = JobHost(
         JobQueue(lease_timeout_s=lease_timeout_s,
                  max_attempts=max_attempts, **kwargs),
         cache=cache,
     )
+    loop = asyncio.get_running_loop()
+    reported = []
+    loop.set_exception_handler(lambda _loop, context: reported.append(context))
     server = Server(ScheduleEngine(workers=0), jobs=host)
     await server.start()
-    loop = asyncio.get_running_loop()
     try:
-        return await loop.run_in_executor(
+        result = await loop.run_in_executor(
             None, fn, server.port, host
         )
     finally:
         await server.aclose()
+    assert not reported, f"event loop reported: {reported}"
+    return result
 
 
 def _submit_wire(**over):

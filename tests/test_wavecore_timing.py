@@ -2,8 +2,16 @@
 import pytest
 
 from repro.core.policies import make_schedule
+from repro.core.subbatch import sub_batch_sequence
 from repro.core.traffic import Phase, compute_traffic
-from repro.graph.layers import Activation, Conv2D, Norm, Pool, PoolKind
+from repro.graph.layers import (
+    Activation,
+    Conv2D,
+    FullyConnected,
+    Norm,
+    Pool,
+    PoolKind,
+)
 from repro.types import Shape
 from repro.wavecore.config import DEFAULT_CONFIG
 from repro.wavecore.gemm import GemmPhase, conv_gemm
@@ -93,3 +101,43 @@ class TestGbuf:
                     kernel=2, stride=2)
         nbytes = gbuf_bytes_for_layer(pool, Phase.FWD, 8, 0, DEFAULT_CONFIG)
         assert nbytes == 2 * 8 * 16 * 7 * 7 * 2
+
+
+FC = FullyConnected(name="f", in_shape=Shape(16, 7, 7), out_features=10)
+
+
+class TestSubBatchCounting:
+    """The iterations of a sub-batch split are counted, not enumerated."""
+
+    @pytest.mark.parametrize("layer", [CONV, FC], ids=["conv", "fc"])
+    @pytest.mark.parametrize("mini_batch, sub_batch",
+                             [(32, 3), (32, 16), (32, 0), (5, 7), (33, 32)])
+    def test_equals_the_per_iteration_sums(self, layer, mini_batch,
+                                           sub_batch):
+        sizes = sub_batch_sequence(mini_batch, sub_batch)
+        for phase in (Phase.FWD, Phase.BWD):
+            for skip in (False, True):
+                comp = layer_compute(layer, phase, mini_batch, sub_batch,
+                                     DEFAULT_CONFIG, skip_data_grad=skip)
+                each = [layer_compute(layer, phase, s, 0, DEFAULT_CONFIG,
+                                      skip_data_grad=skip) for s in sizes]
+                assert comp.cycles == sum(c.cycles for c in each)
+                assert comp.macs == sum(c.macs for c in each)
+            assert gbuf_bytes_for_layer(
+                layer, phase, mini_batch, sub_batch, DEFAULT_CONFIG
+            ) == sum(gbuf_bytes_for_layer(layer, phase, s, 0, DEFAULT_CONFIG)
+                     for s in sizes)
+
+    def test_huge_mini_batch_prices_at_once(self):
+        n = 10**30
+        full, rem = divmod(n, 3)
+        assert rem == 1
+        comp = layer_compute(CONV, Phase.BWD, n, 3, DEFAULT_CONFIG)
+        three = layer_compute(CONV, Phase.BWD, 3, 0, DEFAULT_CONFIG)
+        one = layer_compute(CONV, Phase.BWD, 1, 0, DEFAULT_CONFIG)
+        assert comp.cycles == full * three.cycles + one.cycles
+        assert comp.macs == n * one.macs
+        assert gbuf_bytes_for_layer(CONV, Phase.BWD, n, 3, DEFAULT_CONFIG) \
+            == full * gbuf_bytes_for_layer(CONV, Phase.BWD, 3, 0,
+                                           DEFAULT_CONFIG) \
+            + gbuf_bytes_for_layer(CONV, Phase.BWD, 1, 0, DEFAULT_CONFIG)
