@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -65,6 +64,16 @@ from repro.graph.serialize import (
 from repro.types import MIB, WORD_BYTES
 from repro.wavecore.config import WaveCoreConfig, config_for_policy
 from repro.wavecore.simulator import simulate_step  # noqa: F401 - traced by perfbench
+from repro.wire import (
+    MAX_WIRE_INT,
+    SCHEMA_VERSION,
+    read_bool,
+    read_envelope,
+    read_int,
+    read_list,
+    read_seconds,
+    read_str,
+)
 from repro.zoo import build as build_zoo_network
 
 __all__ = [
@@ -82,80 +91,6 @@ __all__ = [
     "request_fingerprint",
     "sweep",
 ]
-
-#: Wire-schema version of every ``/v1`` body, request and response.
-SCHEMA_VERSION = 1
-
-#: Largest ``buffer_bytes`` / ``mini_batch`` / ``word_bytes`` a request
-#: may carry: every quantity priced from them stays far inside float
-#: range.
-MAX_WIRE_INT = 2**53
-
-
-def read_envelope(wire: Any, noun: str, keys: Sequence[str], *,
-                  required: Sequence[str] = (),
-                  strict: bool = True) -> dict[str, Any]:
-    """Check one ``/v1`` wire object's envelope; return its ``keys`` present.
-
-    ``wire`` must be a JSON object whose ``schema`` is absent or exactly
-    the integer :data:`SCHEMA_VERSION`, holding every ``required`` key.
-    A ``strict`` request body may hold no key outside ``keys``; a
-    response ignores them, so an older client reads a newer server.
-    """
-    if not isinstance(wire, Mapping):
-        raise ValueError(
-            f"{noun} must be a JSON object, got {type(wire).__name__}"
-        )
-    schema = wire.get("schema", SCHEMA_VERSION)
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported {noun} schema {schema!r}; this build speaks "
-            f"schema {SCHEMA_VERSION}"
-        )
-    unknown = set(wire) - set(keys) - {"schema"} if strict else ()
-    if unknown:
-        raise ValueError(
-            f"unknown {noun} key(s) {sorted(unknown, key=str)}; "
-            f"allowed: {list(keys)}"
-        )
-    missing = [k for k in required if k not in wire]
-    if missing:
-        raise ValueError(f"{noun} missing key(s) {missing}")
-    return {k: wire[k] for k in keys if k in wire}
-
-
-def read_int(value: Any, path: str, *, minimum: int = 1,
-             maximum: int | None = None) -> int:
-    """``value`` if it is an integer (not a bool) from ``minimum`` (1,
-    or 0 for an index) to ``maximum``, else a ``ValueError`` naming
-    ``path``."""
-    if (isinstance(value, int) and not isinstance(value, bool)
-            and value >= minimum
-            and (maximum is None or value <= maximum)):
-        return value
-    kind = "a positive" if minimum == 1 else "a non-negative"
-    bound = "" if maximum is None else f" at most {maximum}"
-    raise ValueError(f"{path}: expected {kind} integer{bound}, got {value!r}")
-
-
-def read_seconds(value: Any, path: str) -> float:
-    """``value`` if it is a positive finite number of seconds, else a
-    ``ValueError`` naming ``path``."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < sys.float_info.max):  # False for NaN
-        return value
-    raise ValueError(
-        f"{path}: expected a positive finite number of seconds, got "
-        f"{value!r}"
-    )
-
-
-def read_str(value: Any, path: str) -> str:
-    """``value`` if it is a non-empty string, else a ``ValueError``
-    naming ``path``."""
-    if isinstance(value, str) and value:
-        return value
-    raise ValueError(f"{path}: expected a non-empty string, got {value!r}")
 
 
 def policies() -> tuple[str, ...]:
@@ -202,13 +137,9 @@ class ScheduleRequest:
 
     def resolve_network(self) -> Network:
         """Build the named zoo network or decode the inline graph."""
-        if self.network is not None:
-            read_str(self.network, "network")
-            try:
-                return build_zoo_network(self.network)
-            except KeyError as exc:
-                raise ValueError(str(exc).strip("'\"")) from exc
-        return network_from_dict(self.graph)
+        if self.network is None:
+            return network_from_dict(self.graph)
+        return _coerce_network(read_str(self.network, "network"))
 
     def to_wire(self) -> dict[str, Any]:
         wire: dict[str, Any] = {"schema": SCHEMA_VERSION}
@@ -260,6 +191,10 @@ class GroupSummary:
     fused: str
     branch_reuse: bool | None = None
 
+    _WIRE_KEYS = ("first_block", "last_block", "sub_batch", "iterations",
+                  "fused", "branch_reuse")
+    _REQUIRED = _WIRE_KEYS[:-1]  # branch_reuse may be absent
+
 
 @dataclass(frozen=True)
 class ScheduleResult:
@@ -304,15 +239,8 @@ class ScheduleResult:
         for key in self._WIRE_KEYS:
             value = getattr(self, key)
             if key == "groups":
-                value = [
-                    {"first_block": g.first_block,
-                     "last_block": g.last_block,
-                     "sub_batch": g.sub_batch,
-                     "iterations": g.iterations,
-                     "fused": g.fused,
-                     "branch_reuse": g.branch_reuse}
-                    for g in value
-                ]
+                value = [{k: getattr(g, k) for k in GroupSummary._WIRE_KEYS}
+                         for g in value]
             elif key == "traffic_by_category":
                 value = dict(value)
             wire[key] = value
@@ -323,7 +251,10 @@ class ScheduleResult:
         kwargs = read_envelope(wire, "result", cls._WIRE_KEYS,
                                required=cls._WIRE_KEYS, strict=False)
         kwargs["groups"] = tuple(
-            GroupSummary(**g) for g in kwargs["groups"]
+            GroupSummary(**read_envelope(
+                g, f"groups[{i}]", GroupSummary._WIRE_KEYS,
+                required=GroupSummary._REQUIRED, strict=False))
+            for i, g in enumerate(read_list(kwargs["groups"], "groups"))
         )
         kwargs["traffic_by_category"] = dict(kwargs["traffic_by_category"])
         return cls(**kwargs)
@@ -424,10 +355,7 @@ class SweepJobRequest:
                         f"axes.{name}: expected a non-empty array of "
                         f"values, got {values!r}"
                     )
-        if not isinstance(self.quick, bool):
-            raise ValueError(
-                f"quick: expected a boolean, got {self.quick!r}"
-            )
+        read_bool(self.quick, "quick")
         if self.max_attempts is not None:
             read_int(self.max_attempts, "max_attempts")
         if self.lease_timeout_s is not None:
@@ -486,13 +414,8 @@ class LeaseGrant:
     def from_wire(cls, wire: Mapping[str, Any]) -> "LeaseGrant":
         kwargs = read_envelope(wire, "lease grant", cls._WIRE_KEYS,
                                required=cls._WIRE_KEYS, strict=False)
-        points = kwargs["points"]
-        if not isinstance(points, Sequence) or isinstance(points, (str, bytes)):
-            raise ValueError(
-                f"points: expected an array, got {type(points).__name__}"
-            )
         decoded = []
-        for i, p in enumerate(points):
+        for i, p in enumerate(read_list(kwargs["points"], "points")):
             p = read_envelope(p, f"points[{i}]", ("index", "overrides"),
                               required=("index", "overrides"), strict=False)
             index = read_int(p["index"], f"points[{i}].index", minimum=0)
@@ -563,18 +486,17 @@ class SweepJobStatus:
 # the facade calls
 # ---------------------------------------------------------------------------
 
-def _coerce_network(network: Network | str | Mapping | ScheduleRequest,
-                    ) -> tuple[Network, str | None]:
-    """Accept a Network, zoo name, or wire dict; return (net, zoo name)."""
+def _coerce_network(network: Network | str | Mapping) -> Network:
+    """Accept a Network, zoo name, or wire dict; return the Network."""
     if isinstance(network, Network):
-        return network, None
+        return network
     if isinstance(network, str):
         try:
-            return build_zoo_network(network), network
+            return build_zoo_network(network)
         except KeyError as exc:
             raise ValueError(str(exc).strip("'\"")) from exc
     if isinstance(network, Mapping):
-        return network_from_dict(network), None
+        return network_from_dict(network)
     raise TypeError(
         "network must be a zoo name, a repro.graph Network, or a "
         f"schema-1 wire dict, got {type(network).__name__}"
@@ -664,7 +586,7 @@ def price(
             relu_mask=req.relu_mask, word_bytes=req.word_bytes,
             hardware=hardware,
         )
-    net, _ = _coerce_network(network)
+    net = _coerce_network(network)
     cfg = hardware if hardware is not None else config_for_policy(
         policy, buffer_bytes=buffer_bytes
     )
@@ -699,7 +621,7 @@ def sweep(
     """
     if not buffer_sizes:
         raise ValueError("sweep() needs at least one buffer size")
-    net, _ = _coerce_network(network)
+    net = _coerce_network(network)
     scheds = sweep_schedules(
         net, policy, buffer_sizes, mini_batch=mini_batch,
         word_bytes=word_bytes, objective=objective, cfg=hardware,

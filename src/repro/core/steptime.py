@@ -58,8 +58,6 @@ import dataclasses
 import weakref
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.core.schedule import Schedule
 from repro.core.traffic import (
     Category,
@@ -190,25 +188,25 @@ class ScheduleTotals(NamedTuple):
 
 
 def _block_seconds(
-    compute_s: np.ndarray,
+    compute_s: tuple[float, ...],
     row_bytes: list[int],
     core_bandwidth: float,
     unlimited_bandwidth: bool = False,
 ) -> float:
     """Per-layer ``max(compute, DRAM)`` of one block, summed in row order.
 
-    The ordered scalar sum is bit-identical to the ``LayerTiming``
-    accumulation of :func:`~repro.wavecore.simulator.simulate_step`
-    (``np.sum`` would reassociate).
+    The same division, ``max`` and ordered sum as the ``LayerTiming``
+    accumulation of :func:`~repro.wavecore.simulator.simulate_step`, so
+    the total is bit-identical to it.
     """
-    if unlimited_bandwidth:
-        times = compute_s
-    else:
-        dram_s = np.asarray(row_bytes, dtype=np.float64) / core_bandwidth
-        times = np.maximum(compute_s, dram_s)
     total = 0.0
-    for t in times.tolist():
-        total += t
+    if unlimited_bandwidth:
+        for compute in compute_s:
+            total += compute
+        return total
+    for compute, nbytes in zip(compute_s, row_bytes):
+        dram = nbytes / core_bandwidth
+        total += compute if compute >= dram else dram
     return total
 
 
@@ -220,7 +218,7 @@ class BlockPricer:
     ``(idx, sub_batch)`` — never on boundary placement, reuse flags,
     ReLU masking, or the global-buffer budget — so one pricer serves
     every DP probe of every buffer-sweep point that shares a memory
-    config.  The cached ``compute_s`` vectors hold exactly the
+    config.  The cached ``compute_s`` tuples hold exactly the
     ``compute_s`` values of
     :func:`~repro.wavecore.timing.block_layer_timings`, in its order.
 
@@ -240,7 +238,8 @@ class BlockPricer:
         self.net = weakref.proxy(net)
         self.mini_batch = mini_batch
         self.cfg = cfg
-        self._profiles: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        self._profiles: dict[tuple[int, int],
+                             tuple[tuple[float, ...], int]] = {}
         self._gbuf: dict[tuple[int, int], int] = {}
         self._rows: dict[int, _DramRowIndex] = {}
         self._records: dict[TrafficOptions, dict[tuple, BlockRecord]] = {}
@@ -269,15 +268,16 @@ class BlockPricer:
             got = cache[key] = cls(net, mini_batch, cfg)
         return got
 
-    def profile(self, idx: int, sub_batch: int) -> tuple[np.ndarray, int]:
-        """``(compute_s ndarray, total_macs)`` for a block."""
+    def profile(self, idx: int,
+                sub_batch: int) -> tuple[tuple[float, ...], int]:
+        """``(compute_s per row, total_macs)`` for a block."""
         key = (idx, sub_batch)
         got = self._profiles.get(key)
         if got is None:
             prof = block_compute_profile(
                 self.net, idx, self.mini_batch, sub_batch, self.cfg
             )
-            compute_s = np.asarray([r[5] for r in prof], dtype=np.float64)
+            compute_s = tuple(r[5] for r in prof)
             macs = 0
             for r in prof:
                 macs += r[4]

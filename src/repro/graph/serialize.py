@@ -29,6 +29,8 @@ the corresponding :mod:`repro.graph.layers` dataclass, so
 every network the zoo can build (locked in
 ``tests/test_graph_serialize.py``).
 
+Decoding reads every value through :mod:`repro.wire`, as the ``/v1``
+bodies do: each object has an exact key set and every integer a bound.
 Malformed input raises :class:`GraphSchemaError` with the JSON path of
 the offending element — the server maps it to HTTP 400 and the CLI to
 exit status 1, never a traceback.  Structural validation is the graph
@@ -42,9 +44,10 @@ wire graph address the same cached schedules.
 """
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
-from typing import Any, Mapping
+from typing import Any
 
 from repro.graph.blocks import Block, Branch, MergeKind
 from repro.graph.layers import (
@@ -60,9 +63,18 @@ from repro.graph.layers import (
 )
 from repro.graph.network import Network
 from repro.types import Shape
-
-#: Current wire-schema version; bumped only on incompatible changes.
-SCHEMA_VERSION = 1
+from repro.wire import (
+    MAX_WIRE_INT,
+    SCHEMA_VERSION,
+    WireError,
+    read_bool,
+    read_choice,
+    read_envelope,
+    read_int,
+    read_ints,
+    read_list,
+    read_str,
+)
 
 
 class GraphSchemaError(ValueError):
@@ -73,50 +85,35 @@ class GraphSchemaError(ValueError):
 # encoding
 # ---------------------------------------------------------------------------
 
-def _shape_to_list(shape: Shape) -> list[int]:
-    return [shape.c, shape.h, shape.w]
+#: Each layer kind's wire keys: the fields of its dataclass, ``kind``
+#: (its :class:`~repro.graph.layers.LayerKind`) first.
+_LAYER_KEYS = {
+    "conv": ("kind", "name", "in_shape", "out_channels", "kernel", "stride",
+             "padding", "bias"),
+    "fc": ("kind", "name", "in_shape", "out_features", "bias"),
+    "norm": ("kind", "name", "in_shape", "norm", "groups"),
+    "act": ("kind", "name", "in_shape", "fn"),
+    "pool": ("kind", "name", "in_shape", "pool", "kernel", "stride",
+             "padding", "global_pool"),
+    "add": ("kind", "name", "in_shape"),
+}
+
+
+def _wire_value(value: Any) -> Any:
+    """A field in wire form: shapes and windows as arrays, enums (a
+    layer's kind, norm or pool) as their values."""
+    if isinstance(value, Shape):
+        return [value.c, value.h, value.w]
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 def _layer_to_dict(layer: Layer) -> dict[str, Any]:
-    common = {"name": layer.name, "in_shape": _shape_to_list(layer.in_shape)}
-    if isinstance(layer, Conv2D):
-        return {
-            "kind": "conv", **common,
-            "out_channels": layer.out_channels,
-            "kernel": list(layer.kernel),
-            "stride": list(layer.stride),
-            "padding": list(layer.padding),
-            "bias": layer.bias,
-        }
-    if isinstance(layer, FullyConnected):
-        return {
-            "kind": "fc", **common,
-            "out_features": layer.out_features,
-            "bias": layer.bias,
-        }
-    if isinstance(layer, Norm):
-        return {
-            "kind": "norm", **common,
-            "norm": layer.norm.value,
-            "groups": layer.groups,
-        }
-    if isinstance(layer, Activation):
-        return {"kind": "act", **common, "fn": layer.fn}
-    if isinstance(layer, Pool):
-        return {
-            "kind": "pool", **common,
-            "pool": layer.pool.value,
-            "kernel": list(layer.kernel),
-            "stride": list(layer.stride),
-            "padding": list(layer.padding),
-            "global_pool": layer.global_pool,
-        }
-    if isinstance(layer, EltwiseAdd):
-        return {"kind": "add", **common}
-    raise GraphSchemaError(
-        f"layer {layer.name!r} has unserializable type "
-        f"{type(layer).__name__}"
-    )
+    return {key: _wire_value(getattr(layer, key))
+            for key in _LAYER_KEYS[layer.kind.value]}
 
 
 def _branch_to_dict(branch: Branch) -> dict[str, Any]:
@@ -129,9 +126,9 @@ def _branch_to_dict(branch: Branch) -> dict[str, Any]:
 def _block_to_dict(block: Block) -> dict[str, Any]:
     return {
         "name": block.name,
-        "in_shape": _shape_to_list(block.in_shape),
+        "in_shape": _wire_value(block.in_shape),
         "branches": [_branch_to_dict(b) for b in block.branches],
-        "merge": block.merge.value if block.merge is not None else None,
+        "merge": _wire_value(block.merge),
         "post_merge": [_layer_to_dict(l) for l in block.post_merge],
     }
 
@@ -141,7 +138,7 @@ def network_to_dict(net: Network) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "name": net.name,
-        "in_shape": _shape_to_list(net.in_shape),
+        "in_shape": _wire_value(net.in_shape),
         "default_mini_batch": net.default_mini_batch,
         "blocks": [_block_to_dict(b) for b in net.blocks],
     }
@@ -168,186 +165,112 @@ def network_fingerprint(net: Network) -> str:
 # decoding
 # ---------------------------------------------------------------------------
 
-def _expect_mapping(obj: Any, path: str) -> Mapping:
-    if not isinstance(obj, Mapping):
-        raise GraphSchemaError(
-            f"{path}: expected a JSON object, got {type(obj).__name__}"
-        )
-    return obj
-
-
-def _expect_list(obj: Any, path: str) -> list:
-    if not isinstance(obj, list):
-        raise GraphSchemaError(
-            f"{path}: expected a JSON array, got {type(obj).__name__}"
-        )
-    return obj
-
-
-def _get(obj: Mapping, key: str, path: str) -> Any:
-    if key not in obj:
-        raise GraphSchemaError(f"{path}: missing required key {key!r}")
-    return obj[key]
-
-
-def _int(obj: Mapping, key: str, path: str) -> int:
-    v = _get(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise GraphSchemaError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
-
-
-def _str(obj: Mapping, key: str, path: str) -> str:
-    v = _get(obj, key, path)
-    if not isinstance(v, str):
-        raise GraphSchemaError(f"{path}.{key}: expected a string, got {v!r}")
-    return v
-
-
-def _bool(obj: Mapping, key: str, path: str, default: bool) -> bool:
-    v = obj.get(key, default)
-    if not isinstance(v, bool):
-        raise GraphSchemaError(f"{path}.{key}: expected a boolean, got {v!r}")
-    return v
-
-
-def _shape(obj: Mapping, key: str, path: str) -> Shape:
-    v = _expect_list(_get(obj, key, path), f"{path}.{key}")
-    if len(v) != 3 or any(isinstance(d, bool) or not isinstance(d, int)
-                          for d in v):
-        raise GraphSchemaError(
-            f"{path}.{key}: expected [c, h, w] integers, got {v!r}"
-        )
-    try:
-        return Shape(*v)
-    except ValueError as exc:
-        raise GraphSchemaError(f"{path}.{key}: {exc}") from exc
-
-
-def _pair(obj: Mapping, key: str, path: str,
-          default: tuple[int, int]) -> tuple[int, int]:
-    v = obj.get(key)
-    if v is None:
-        return default
-    v = _expect_list(v, f"{path}.{key}")
-    if len(v) != 2 or any(isinstance(d, bool) or not isinstance(d, int)
-                          for d in v):
-        raise GraphSchemaError(
-            f"{path}.{key}: expected a pair of integers, got {v!r}"
-        )
-    return (v[0], v[1])
-
-
-def _enum(kind, value: str, path: str):
-    try:
-        return kind(value)
-    except ValueError:
-        choices = ", ".join(repr(m.value) for m in kind)
-        raise GraphSchemaError(
-            f"{path}: unknown value {value!r}; choose from {choices}"
-        ) from None
+#: Keys a layer may leave out; each then takes its dataclass default.
+_OPTIONAL = {"kernel", "stride", "padding", "bias", "groups", "fn",
+             "global_pool"}
+_LAYER_REQUIRED = {kind: tuple(k for k in keys if k not in _OPTIONAL)
+                   for kind, keys in _LAYER_KEYS.items()}
+_NORMS = {m.value: m for m in NormKind}
+_POOLS = {m.value: m for m in PoolKind}
+_MERGES = {m.value: m for m in MergeKind}
 
 
 def _layer_from_dict(obj: Any, path: str) -> Layer:
-    obj = _expect_mapping(obj, path)
-    kind = _str(obj, "kind", path)
-    name = _str(obj, "name", path)
-    in_shape = _shape(obj, "in_shape", path)
+    try:  # the kind picks the key set; the readers name any fault
+        kind = obj["kind"]
+        keys = _LAYER_KEYS[kind]
+    except (TypeError, KeyError):
+        head = read_envelope(obj, path, ("kind",), required=("kind",),
+                             strict=False)
+        read_choice(head["kind"], f"{path}.kind", _LAYER_KEYS)
+        raise
+    w = read_envelope(obj, path, keys, required=_LAYER_REQUIRED[kind])
+    name = read_str(w["name"], f"{path}.name")
+    in_shape = Shape(*read_ints(w["in_shape"], f"{path}.in_shape", 3))
     try:
         if kind == "conv":
             return Conv2D(
                 name=name, in_shape=in_shape,
-                out_channels=_int(obj, "out_channels", path),
-                kernel=_pair(obj, "kernel", path, (1, 1)),
-                stride=_pair(obj, "stride", path, (1, 1)),
-                padding=_pair(obj, "padding", path, (0, 0)),
-                bias=_bool(obj, "bias", path, False),
+                out_channels=read_int(w["out_channels"],
+                                      f"{path}.out_channels",
+                                      maximum=MAX_WIRE_INT),
+                kernel=read_ints(w.get("kernel", [1, 1]), f"{path}.kernel", 2),
+                stride=read_ints(w.get("stride", [1, 1]), f"{path}.stride", 2),
+                padding=read_ints(w.get("padding", [0, 0]),
+                                  f"{path}.padding", 2, minimum=0),
+                bias=read_bool(w.get("bias", False), f"{path}.bias"),
             )
         if kind == "fc":
             return FullyConnected(
                 name=name, in_shape=in_shape,
-                out_features=_int(obj, "out_features", path),
-                bias=_bool(obj, "bias", path, True),
+                out_features=read_int(w["out_features"],
+                                      f"{path}.out_features",
+                                      maximum=MAX_WIRE_INT),
+                bias=read_bool(w.get("bias", True), f"{path}.bias"),
             )
         if kind == "norm":
             return Norm(
                 name=name, in_shape=in_shape,
-                norm=_enum(NormKind, _str(obj, "norm", path),
-                           f"{path}.norm"),
-                groups=_int(obj, "groups", path) if "groups" in obj else 32,
+                norm=_NORMS[read_choice(w["norm"], f"{path}.norm", _NORMS)],
+                groups=read_int(w.get("groups", 32), f"{path}.groups",
+                                maximum=MAX_WIRE_INT),
             )
         if kind == "act":
-            fn = obj.get("fn", "relu")
-            if not isinstance(fn, str):
-                raise GraphSchemaError(
-                    f"{path}.fn: expected a string, got {fn!r}"
-                )
-            return Activation(name=name, in_shape=in_shape, fn=fn)
+            return Activation(name=name, in_shape=in_shape,
+                              fn=read_str(w.get("fn", "relu"), f"{path}.fn"))
         if kind == "pool":
             return Pool(
                 name=name, in_shape=in_shape,
-                pool=_enum(PoolKind, _str(obj, "pool", path),
-                           f"{path}.pool"),
-                kernel=_pair(obj, "kernel", path, (2, 2)),
-                stride=_pair(obj, "stride", path, (2, 2)),
-                padding=_pair(obj, "padding", path, (0, 0)),
-                global_pool=_bool(obj, "global_pool", path, False),
+                pool=_POOLS[read_choice(w["pool"], f"{path}.pool", _POOLS)],
+                kernel=read_ints(w.get("kernel", [2, 2]), f"{path}.kernel", 2),
+                stride=read_ints(w.get("stride", [2, 2]), f"{path}.stride", 2),
+                padding=read_ints(w.get("padding", [0, 0]),
+                                  f"{path}.padding", 2, minimum=0),
+                global_pool=read_bool(w.get("global_pool", False),
+                                      f"{path}.global_pool"),
             )
-        if kind == "add":
-            return EltwiseAdd(name=name, in_shape=in_shape)
-    except GraphSchemaError:
+        return EltwiseAdd(name=name, in_shape=in_shape)
+    except WireError:
         raise
-    except ValueError as exc:
-        raise GraphSchemaError(f"{path}: {exc}") from exc
-    raise GraphSchemaError(
-        f"{path}.kind: unknown layer kind {kind!r}; choose from "
-        "'conv', 'fc', 'norm', 'act', 'pool', 'add'"
-    )
+    except ValueError as exc:  # the IR's own check: a window too large
+        raise WireError(f"{path}: {exc}") from exc
+
+
+def _each(decode, value: Any, path: str) -> tuple:
+    """``decode`` each element of the JSON array ``value`` at ``path``."""
+    return tuple(decode(v, f"{path}[{i}]")
+                 for i, v in enumerate(read_list(value, path)))
 
 
 def _branch_from_dict(obj: Any, path: str) -> Branch:
-    obj = _expect_mapping(obj, path)
-    layers = tuple(
-        _layer_from_dict(l, f"{path}.layers[{i}]")
-        for i, l in enumerate(_expect_list(obj.get("layers", []),
-                                           f"{path}.layers"))
+    w = read_envelope(obj, path, ("layers", "children"))
+    return Branch(
+        layers=_each(_layer_from_dict, w.get("layers", []), f"{path}.layers"),
+        children=_each(_branch_from_dict, w.get("children", []),
+                       f"{path}.children"),
     )
-    children = tuple(
-        _branch_from_dict(c, f"{path}.children[{i}]")
-        for i, c in enumerate(_expect_list(obj.get("children", []),
-                                           f"{path}.children"))
-    )
-    return Branch(layers=layers, children=children)
 
 
 def _block_from_dict(obj: Any, path: str) -> Block:
-    obj = _expect_mapping(obj, path)
-    name = _str(obj, "name", path)
-    in_shape = _shape(obj, "in_shape", path)
-    branches = tuple(
-        _branch_from_dict(b, f"{path}.branches[{i}]")
-        for i, b in enumerate(_expect_list(_get(obj, "branches", path),
-                                           f"{path}.branches"))
-    )
-    merge_raw = obj.get("merge")
-    merge = None
-    if merge_raw is not None:
-        if not isinstance(merge_raw, str):
-            raise GraphSchemaError(
-                f"{path}.merge: expected null, 'add', or 'concat', got "
-                f"{merge_raw!r}"
-            )
-        merge = _enum(MergeKind, merge_raw, f"{path}.merge")
-    post_merge = tuple(
-        _layer_from_dict(l, f"{path}.post_merge[{i}]")
-        for i, l in enumerate(_expect_list(obj.get("post_merge", []),
-                                           f"{path}.post_merge"))
-    )
+    w = read_envelope(obj, path,
+                      ("name", "in_shape", "branches", "merge", "post_merge"),
+                      required=("name", "in_shape", "branches"))
+    merge = w.get("merge")
     try:
-        return Block(name=name, in_shape=in_shape, branches=branches,
-                     merge=merge, post_merge=post_merge)
-    except ValueError as exc:
-        raise GraphSchemaError(f"{path}: {exc}") from exc
+        return Block(
+            name=read_str(w["name"], f"{path}.name"),
+            in_shape=Shape(*read_ints(w["in_shape"], f"{path}.in_shape", 3)),
+            branches=_each(_branch_from_dict, w["branches"],
+                           f"{path}.branches"),
+            merge=None if merge is None else _MERGES[
+                read_choice(merge, f"{path}.merge", _MERGES)],
+            post_merge=_each(_layer_from_dict, w.get("post_merge", []),
+                             f"{path}.post_merge"),
+        )
+    except WireError:
+        raise
+    except ValueError as exc:  # the IR's own checks: shape flow, merges
+        raise WireError(f"{path}: {exc}") from exc
 
 
 def network_from_dict(obj: Any) -> Network:
@@ -358,26 +281,21 @@ def network_from_dict(obj: Any) -> Network:
     user graphs fail with a :class:`GraphSchemaError` naming the JSON
     path, never a deep traceback.
     """
-    obj = _expect_mapping(obj, "$")
-    schema = _get(obj, "schema", "$")
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise GraphSchemaError(
-            f"$.schema: unsupported version {schema!r}; this build "
-            f"speaks schema {SCHEMA_VERSION}"
-        )
-    name = _str(obj, "name", "$")
-    in_shape = _shape(obj, "in_shape", "$")
-    mini_batch = (_int(obj, "default_mini_batch", "$")
-                  if "default_mini_batch" in obj else 32)
-    blocks = tuple(
-        _block_from_dict(b, f"$.blocks[{i}]")
-        for i, b in enumerate(_expect_list(_get(obj, "blocks", "$"),
-                                           "$.blocks"))
-    )
     try:
-        return Network(name=name, in_shape=in_shape, blocks=blocks,
-                       default_mini_batch=mini_batch)
-    except ValueError as exc:
+        w = read_envelope(obj, "$",
+                          ("name", "in_shape", "default_mini_batch", "blocks"),
+                          required=("schema", "name", "in_shape", "blocks"))
+        return Network(
+            name=read_str(w["name"], "$.name"),
+            in_shape=Shape(*read_ints(w["in_shape"], "$.in_shape", 3)),
+            default_mini_batch=read_int(w.get("default_mini_batch", 32),
+                                        "$.default_mini_batch",
+                                        maximum=MAX_WIRE_INT),
+            blocks=_each(_block_from_dict, w["blocks"], "$.blocks"),
+        )
+    except WireError as exc:
+        raise GraphSchemaError(str(exc)) from exc
+    except ValueError as exc:  # the IR's own checks: blocks chain up
         raise GraphSchemaError(f"$: {exc}") from exc
 
 

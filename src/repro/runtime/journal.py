@@ -42,8 +42,12 @@ from typing import Any, Mapping
 JOURNAL_SCHEMA = 1
 
 
-class JournalError(RuntimeError):
-    """The on-disk state is unreadable or internally inconsistent."""
+class JournalError(RuntimeError, ValueError):
+    """The on-disk state is unreadable or internally inconsistent.
+
+    Also a ``ValueError``: like a malformed wire body, a state dir is
+    input that this build cannot read.
+    """
 
 
 class Journal:
@@ -114,6 +118,7 @@ class Journal:
         except FileNotFoundError:
             return []
         events = []
+        prev_n = 0
         lines = raw.split("\n")
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -129,12 +134,13 @@ class Journal:
                         f"line before end of journal"
                     ) from None
                 break
-            n = event.get("n")
-            if not isinstance(n, int) or n <= 0:
+            n = event.get("n") if isinstance(event, dict) else None
+            if not isinstance(n, int) or n <= prev_n:
                 raise JournalError(
                     f"{self.journal_path}:{lineno}: event has no valid "
-                    f"sequence number: {line[:80]!r}"
+                    f"sequence number above {prev_n}: {line[:80]!r}"
                 )
+            prev_n = n
             self._seq = max(self._seq, n)
             if n <= last_n:
                 continue  # already folded into the snapshot

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.runtime.cache import task_key
+from repro.runtime.journal import JournalError
 from repro.runtime.serialize import jsonify
 from repro.runtime.spec import ExperimentSpec
 
@@ -664,37 +665,60 @@ class JobQueue:
 
         ``specs`` resolves a spec name to its registered
         :class:`~repro.runtime.spec.ExperimentSpec` (usually
-        :func:`repro.runtime.spec.get_spec`); journaled state naming a
-        spec this build does not register fails loudly.
+        :func:`repro.runtime.spec.get_spec`).  A snapshot or event this
+        build cannot apply — one naming a spec it does not register, a
+        lease of an unknown job or point, a missing field — raises
+        :class:`~repro.runtime.journal.JournalError` naming the file
+        (and the event's ``n``).
         """
         state, events = journal.load()
         queue = cls(clock=clock, lease_timeout_s=lease_timeout_s,
                     max_attempts=max_attempts)
         if state is not None:
-            queue._job_seq = state["job_seq"]
-            queue._lease_seq = state["lease_seq"]
-            for name in cls._COUNTERS:
-                setattr(queue, name, state["counters"][name])
-            for blob in state["jobs"]:
-                queue._add_job(blob, specs)
-            now = clock()
-            for blob in state["leases"]:
-                # older snapshots also carry a per-lease ``done`` set
-                # that nothing reads
-                queue.leases[blob["lease_id"]] = Lease(
-                    lease_id=blob["lease_id"], job_id=blob["job_id"],
-                    worker=blob["worker"], indexes=tuple(blob["indexes"]),
-                    deadline=now + blob["remaining_s"],
-                    lease_timeout_s=blob["lease_timeout_s"],
-                    alive=blob["alive"],
-                )
+            try:
+                queue._job_seq = state["job_seq"]
+                queue._lease_seq = state["lease_seq"]
+                for name in cls._COUNTERS:
+                    setattr(queue, name, state["counters"][name])
+                for blob in state["jobs"]:
+                    queue._add_job(blob, specs)
+                now = clock()
+                for blob in state["leases"]:
+                    # older snapshots also carry a per-lease ``done``
+                    # set that nothing reads
+                    queue.leases[blob["lease_id"]] = Lease(
+                        lease_id=blob["lease_id"], job_id=blob["job_id"],
+                        worker=blob["worker"],
+                        indexes=tuple(blob["indexes"]),
+                        deadline=now + blob["remaining_s"],
+                        lease_timeout_s=blob["lease_timeout_s"],
+                        alive=blob["alive"],
+                    )
+            except Exception as exc:
+                raise JournalError(
+                    f"{journal.snapshot_path}: cannot restore the "
+                    f"snapshot: {exc!r}"
+                ) from exc
         for event in events:
-            queue._apply_event(event, specs)
+            try:
+                queue._apply_event(event, specs)
+            except Exception as exc:
+                raise JournalError(
+                    f"{journal.journal_path}: cannot replay event "
+                    f"n={event['n']}: {exc!r}"
+                ) from exc
         if expire_outstanding:
-            for lease_id in [lease.lease_id
-                             for lease in queue.leases.values()
-                             if lease.alive]:
-                queue._void_lease_points(lease_id, "coordinator restart")
+            try:
+                for lease_id in [lease.lease_id
+                                 for lease in queue.leases.values()
+                                 if lease.alive]:
+                    queue._void_lease_points(lease_id,
+                                             "coordinator restart")
+            except Exception as exc:  # only a snapshot lease can fail here
+                raise JournalError(
+                    f"{journal.snapshot_path}: cannot void the restored "
+                    f"leases: {exc!r}"
+                ) from exc
         queue.journal = journal
         if compact:
             journal.compact(queue.dump_state())

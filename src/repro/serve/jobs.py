@@ -15,12 +15,18 @@ workers poll, and polling drives time forward.
 """
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 from repro import api
 from repro.runtime.cache import ResultCache
 from repro.runtime.queue import DONE, JobQueue, SweepJob, SweepPoint
 from repro.runtime.spec import expand_grid, get_spec
+
+#: Most grid points one submitted job may expand to, about ten times
+#: the 1,536-point grid perfbench's queue-drain submits: submission
+#: expands, keys and journals every point before it answers.
+MAX_JOB_POINTS = 2**14
 
 
 def _job_status(job: SweepJob) -> api.SweepJobStatus:
@@ -75,6 +81,12 @@ class JobHost:
         axes = dict(spec.sweep)
         if req.axes is not None:
             axes.update(req.axes)
+        points = math.prod(len(values) for values in axes.values())
+        if points > MAX_JOB_POINTS:
+            raise ValueError(
+                f"axes: the grid has {points} points; a job may hold at "
+                f"most {MAX_JOB_POINTS}"
+            )
 
         def cached(point: SweepPoint) -> dict[str, Any] | None:
             if self.cache is None:

@@ -209,7 +209,9 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(jsonlib.dumps(wire))
         assert main(["schedule", "--graph", str(path)]) == 1
-        assert "unknown layer kind" in capsys.readouterr().err
+        assert ("$.blocks[0].branches[0].layers[0].kind: expected one of "
+                "['conv', 'fc', 'norm', 'act', 'pool', 'add'], got 'lstm'"
+                in capsys.readouterr().err)
 
     def test_schedule_graph_missing_file_is_exit_1(self, capsys, tmp_path):
         assert main(["schedule", "--graph",

@@ -504,6 +504,55 @@ class TestRestorePolicy:
             JobQueue.restore(Journal(tmp_path / "state", fsync=False),
                              specs=no_specs, clock=clock)
 
+    def _malformed(self, tmp_path, edit):
+        """One fig-style submit and one lease, journaled; then ``edit``
+        rewrites the event lines and restore must raise JournalError."""
+        queue, clock, journal = make_journaled_queue(tmp_path)
+        queue.submit(SPEC, GRID)
+        queue.lease("w1")
+        journal.close()
+        events = [json.loads(line) for line
+                  in journal.journal_path.read_text().splitlines()]
+        edit(events)
+        journal.journal_path.write_text(
+            "".join(json.dumps(e) + "\n" for e in events))
+        with pytest.raises(JournalError) as err:
+            JobQueue.restore(Journal(tmp_path / "state", fsync=False),
+                             specs=get_test_spec, clock=clock)
+        return str(err.value)
+
+    def test_event_missing_a_field_is_a_journal_error(self, tmp_path):
+        message = self._malformed(
+            tmp_path, lambda events: events[1].pop("job_id"))
+        assert "journal.jsonl: cannot replay event n=2" in message
+        assert "KeyError('job_id')" in message
+
+    def test_event_before_its_submit_is_a_journal_error(self, tmp_path):
+        message = self._malformed(tmp_path, lambda events: events.reverse())
+        assert "no valid sequence number above 2" in message
+
+    def test_lease_of_a_point_that_is_not_there_is_a_journal_error(
+            self, tmp_path):
+        message = self._malformed(
+            tmp_path, lambda events: events[1].update(indexes=[999]))
+        assert "cannot replay event n=2: IndexError" in message
+
+    def test_snapshot_lease_of_an_unknown_job_is_a_journal_error(
+            self, tmp_path):
+        queue, clock, journal = make_journaled_queue(tmp_path)
+        queue.submit(SPEC, GRID)
+        queue.lease("w1")
+        journal.compact(queue.dump_state())
+        journal.close()
+        snap = json.loads(journal.snapshot_path.read_text())
+        snap["state"]["leases"][0]["job_id"] = "job-9"
+        journal.snapshot_path.write_text(json.dumps(snap))
+        with pytest.raises(JournalError,
+                           match=r"snapshot\.json: cannot void the restored "
+                                 r"leases: KeyError\('job-9'\)"):
+            JobQueue.restore(Journal(tmp_path / "state", fsync=False),
+                             specs=get_test_spec, clock=clock)
+
     def test_restored_queue_drains_to_byte_identical_manifests(
             self, tmp_path):
         # the end-to-end invariant in miniature: crash mid-drain,

@@ -28,6 +28,7 @@ import pytest
 from repro import api
 from repro.experiments.runner import main
 from repro.runtime.cache import ResultCache
+from repro.runtime.journal import Journal
 from repro.runtime.pool import Task, run_tasks
 from repro.runtime.queue import JobQueue
 from repro.runtime.spec import get_spec
@@ -100,6 +101,24 @@ class TestSweepJobRequestWire:
         assert "mini_batch[2]" in req.describe()
         assert "default sweep axes" in api.SweepJobRequest(
             artifact="fig3").describe()
+
+
+class TestJobGridBound:
+    def test_a_grid_past_the_bound_is_refused_before_any_journaling(
+            self, tmp_path):
+        host = JobHost(JobQueue(journal=Journal(tmp_path, fsync=False)))
+        axes = {"mini_batch": list(range(1, 129)),
+                "buffer_mib": list(range(1, 129)),
+                "net_name": ["resnet50", "resnet101"]}  # 2**15 points
+        with pytest.raises(ValueError, match=r"^axes: the grid has 32768 "
+                                             r"points; a job may hold at "
+                                             r"most 16384$"):
+            host.submit_wire({"artifact": "fig3", "axes": axes})
+        assert host.queue.jobs == {}
+        assert host.queue.journal.events_recorded == 0
+        status = host.submit_wire({"artifact": "fig3", "axes": GRID_AXES})
+        assert status["job_id"] == "job-1"  # no job id was used up
+        host.queue.journal.close()
 
 
 class TestLeaseGrantWire:
@@ -588,6 +607,10 @@ class _LiveCoordinator:
     def __init__(self, cache_dir=None, *, lease_timeout_s=30.0,
                  max_attempts=3):
         self.loop = asyncio.new_event_loop()
+        # a handler that crashes and drops its connection fails close()
+        self.reported = []
+        self.loop.set_exception_handler(
+            lambda _loop, context: self.reported.append(context))
         self.server = None
         started = threading.Event()
 
@@ -621,6 +644,8 @@ class _LiveCoordinator:
             self.server.aclose(), self.loop).result(timeout=30)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=30)
+        self.loop.close()
+        assert not self.reported, f"event loop reported: {self.reported}"
 
 
 class _FlakyClient:

@@ -29,6 +29,7 @@ from repro.runtime.journal import Journal
 from repro.runtime.queue import JobQueue
 from repro.runtime.spec import get_spec
 from repro.serve import JobHost, ScheduleEngine, Server
+from repro.wire import read_bool, read_choice, read_ints, read_list
 from repro.zoo import build
 
 AXES = {"net_name": ["resnet50"], "mini_batch": [16], "buffer_mib": [5, 10]}
@@ -104,6 +105,43 @@ class TestReaders:
     def test_read_str_rejects(self, value):
         with pytest.raises(ValueError, match="^s: expected a non-empty"):
             api.read_str(value, "s")
+
+    def test_read_ints(self):
+        assert read_ints([1, 2], "p", 2) == [1, 2]
+        assert read_ints([0, 0], "p", 2, minimum=0) == [0, 0]
+        for bad in ([0, 1], [1], (1, 1), [True, 1], [1.0, 1],
+                    [1, api.MAX_WIRE_INT + 1], None):
+            with pytest.raises(ValueError, match=r"^p: expected an array "
+                                                 r"of 2 positive integers"):
+                read_ints(bad, "p", 2)
+
+    def test_read_bool_list_and_choice(self):
+        assert read_bool(False, "b") is False
+        assert read_list([], "l") == []
+        assert read_choice("a", "c", ("a", "b")) == "a"
+        for call in (lambda: read_bool(0, "b"),
+                     lambda: read_list((1,), "l"),
+                     lambda: read_choice(["a"], "c", ("a",)),
+                     lambda: read_choice("z", "c", ("a",))):
+            with pytest.raises(ValueError, match=r"^[blc]: expected "):
+                call()
+
+    @pytest.mark.parametrize("groups, needle", [
+        (5, "groups: expected an array, got int"),
+        ([7], r"groups\[0\] must be a JSON object, got int"),
+        ([{"first_block": 0}], r"groups\[0\] missing key\(s\)"),
+    ])
+    def test_result_groups_decode_through_the_reader(self, groups, needle):
+        wire = api.price("toy_chain", "mbs2").to_wire()
+        wire["groups"] = groups
+        with pytest.raises(ValueError, match=needle):
+            api.ScheduleResult.from_wire(wire)
+
+    def test_result_groups_ignore_unknown_keys(self):
+        result = api.price("toy_chain", "mbs2")
+        wire = result.to_wire()
+        wire["groups"][0]["from_a_newer_server"] = 1
+        assert api.ScheduleResult.from_wire(wire).groups == result.groups
 
     def test_responses_ignore_unknown_keys_but_check_schema(self):
         status = api.SweepJobStatus(
@@ -183,8 +221,8 @@ HOSTILE = [
     ("/v1/schedule", {**SCHEDULE, "schema": True}, 400, "schema"),
     ("/v1/schedule", {**SCHEDULE, "schema": 1.0}, 400, "schema"),
     ("/v1/schedule", {**SCHEDULE, "schema": 2}, 400, "schema"),
-    ("/v1/schedule", _graph(True), 400, "$.schema"),
-    ("/v1/schedule", _graph(1.0), 400, "$.schema"),
+    ("/v1/schedule", _graph(True), 400, "unsupported $ schema True"),
+    ("/v1/schedule", _graph(1.0), 400, "unsupported $ schema 1.0"),
     ("/v1/schedule", {**SCHEDULE, "mini_batch": 2**64}, 400, "mini_batch"),
     ("/v1/schedule", {**SCHEDULE, "buffer_bytes": 2**53 + 1}, 400,
      "buffer_bytes"),
