@@ -3,8 +3,11 @@
 Inception-v4 is the stress case — the deepest multi-branch network in
 the zoo, so its fusable windows give the grouping optimizers the most
 work.  ``mbs-auto`` prices every candidate group with the byte-accurate
-traffic walkers (memoized per block); these timings track what that
-exactness costs over the closed-form proxy.
+traffic walkers (memoized per block on the network's pricer); these
+timings track what that exactness costs over the closed-form proxy.
+Every per-block price lives as long as its network, so each case clears
+the network's pricing caches (or builds a fresh network) before every
+round, outside the timer: the gate times a cold DP, not a warm memo.
 """
 import time
 
@@ -13,6 +16,7 @@ import pytest
 from repro import api
 from repro.core.cost import EnergyCostModel, TrafficCostModel
 from repro.core.policies import (
+    OBJECTIVES,
     SweepCaches,
     clear_pricing_caches,
     make_schedule,
@@ -35,6 +39,13 @@ def _log_spaced_buffers(n: int, lo: int = 16 * KIB, hi: int = 4 * MIB):
     return [int(lo * ratio**i) for i in range(n)]
 
 
+def _cold(benchmark, net, fn, *args, **kwargs):
+    """Time ``fn(*args, **kwargs)`` with ``net``'s pricing caches
+    cleared before each of 10 rounds (outside the timer)."""
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=10,
+                              setup=lambda: clear_pricing_caches(net))
+
+
 def test_bench_greedy_proxy_schedule(benchmark, inc4):
     sched = benchmark(make_schedule, inc4, "mbs2")
     assert sched.num_blocks == len(inc4.blocks)
@@ -46,7 +57,7 @@ def test_bench_exhaustive_proxy_schedule(benchmark, inc4):
 
 
 def test_bench_adaptive_auto_schedule(benchmark, inc4):
-    sched = benchmark(make_schedule, inc4, "mbs-auto")
+    sched = _cold(benchmark, inc4, make_schedule, inc4, "mbs-auto")
     assert sched.num_blocks == len(inc4.blocks)
 
 
@@ -54,9 +65,8 @@ def test_bench_adaptive_auto_latency_schedule(benchmark, inc4):
     """The latency objective walks traffic AND prices GEMM timings per
     candidate group — this tracks what simulated seconds cost over
     simulated bytes."""
-    sched = benchmark(
-        make_schedule, inc4, "mbs-auto", objective="latency"
-    )
+    sched = _cold(benchmark, inc4, make_schedule, inc4, "mbs-auto",
+                  objective="latency")
     assert sched.num_blocks == len(inc4.blocks)
     assert sched.objective == "latency"
 
@@ -65,9 +75,8 @@ def test_bench_adaptive_auto_energy_schedule(benchmark, inc4):
     """The energy objective composes the traffic walk, the per-layer
     timing, AND the per-access energy constants per candidate group —
     this tracks what simulated joules cost over simulated seconds."""
-    sched = benchmark(
-        make_schedule, inc4, "mbs-auto", objective="energy"
-    )
+    sched = _cold(benchmark, inc4, make_schedule, inc4, "mbs-auto",
+                  objective="energy")
     assert sched.num_blocks == len(inc4.blocks)
     assert sched.objective == "energy"
 
@@ -76,9 +85,8 @@ def test_bench_adaptive_auto_lex_schedule(benchmark, inc4):
     """The lexicographic composite prices every candidate through both
     the latency and the traffic model; this tracks the tie-break's cost
     over the pure latency objective."""
-    sched = benchmark(
-        make_schedule, inc4, "mbs-auto", objective="latency+traffic"
-    )
+    sched = _cold(benchmark, inc4, make_schedule, inc4, "mbs-auto",
+                  objective="latency+traffic")
     assert sched.num_blocks == len(inc4.blocks)
     assert sched.objective == "latency+traffic"
 
@@ -87,12 +95,8 @@ def test_bench_sweep_schedules_energy(benchmark, inc4):
     """A full 48-point energy buffer sweep through the batch API —
     the workload the cross-sweep group-price memo exists for."""
     buffers = _log_spaced_buffers(48)
-
-    def sweep():
-        return sweep_schedules(inc4, "mbs-auto", buffers,
-                               objective="energy")
-
-    scheds = benchmark(sweep)
+    scheds = _cold(benchmark, inc4, sweep_schedules, inc4, "mbs-auto",
+                   buffers, objective="energy")
     assert len(scheds) == len(buffers)
     assert all(s.objective == "energy" for s in scheds)
 
@@ -137,21 +141,15 @@ def test_sweep_speedup_over_naive_loop(inc4):
 
 def test_bench_energy_cost_model_full_schedule(benchmark, inc4):
     """Pricing a complete schedule's joules through the cost model
-    (cold memo), checked against the simulator it must reproduce.
-
-    The block records the model sums are memoized on the network, so
-    each round first clears them (outside the timer)."""
+    (cold memo), checked against the simulator it must reproduce."""
     sched = make_schedule(inc4, "mbs-auto", objective="energy")
     total = simulate_step(inc4, sched).energy.total_j
-
-    def cold():
-        clear_pricing_caches(inc4)
 
     def price():
         model = EnergyCostModel.for_schedule(inc4, sched)
         return model.schedule_cost(sched)
 
-    assert benchmark.pedantic(price, setup=cold, rounds=10) == total
+    assert _cold(benchmark, inc4, price) == total
 
 
 def test_bench_traffic_cost_model_full_schedule(benchmark, inc4):
@@ -163,7 +161,7 @@ def test_bench_traffic_cost_model_full_schedule(benchmark, inc4):
         model = TrafficCostModel.for_schedule(inc4, sched)
         return model.schedule_cost(sched)
 
-    assert benchmark(price) == total
+    assert _cold(benchmark, inc4, price) == total
 
 
 def test_bench_api_sweep_energy(benchmark):
@@ -181,3 +179,17 @@ def test_bench_api_sweep_energy(benchmark):
     results = benchmark.pedantic(api.sweep, setup=fresh, rounds=5)
     assert len(results) == len(buffers)
     assert all(r.objective == "energy" for r in results)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_bench_price_cold(benchmark, objective):
+    """One :func:`repro.api.price` of a freshly built inception-v4 under
+    each objective: the DP's per-block prices and the evaluator's
+    records all start cold, as in a serve worker, which builds one
+    network per request.  The build runs outside the timer."""
+
+    def fresh():
+        return (inception_v4(), "mbs-auto"), {"objective": objective}
+
+    res = benchmark.pedantic(api.price, setup=fresh, rounds=5)
+    assert res.objective == objective

@@ -53,7 +53,6 @@ from repro.core.policies import (
 )
 from repro.core.schedule import Schedule
 from repro.core.steptime import BlockPricer
-from repro.core.traffic import TrafficOptions
 from repro.core.traffic import compute_traffic  # noqa: F401 - traced by perfbench
 from repro.graph.network import Network
 from repro.graph.serialize import (
@@ -519,7 +518,7 @@ def _evaluate(
     keep the hardware's 2-byte words.
     """
     totals = BlockPricer.shared(net, sched.mini_batch, cfg).schedule_totals(
-        sched, TrafficOptions(word_bytes=word_bytes)
+        sched, word_bytes
     )
     groups = tuple(
         GroupSummary(

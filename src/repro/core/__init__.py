@@ -20,13 +20,8 @@ from repro.core.grouping import (
 )
 from repro.core.policies import OBJECTIVES, POLICIES, make_schedule
 from repro.core.schedule import GroupPlan, Schedule
-from repro.core.steptime import block_step_time, schedule_step_time
 from repro.core.subbatch import feasible_sub_batch, iteration_count
-from repro.core.traffic import (
-    TrafficOptions,
-    TrafficReport,
-    compute_traffic,
-)
+from repro.core.traffic import TrafficReport, compute_traffic
 
 __all__ = [
     "CostModel",
@@ -37,11 +32,9 @@ __all__ = [
     "ProxyCostModel",
     "Schedule",
     "TrafficCostModel",
-    "TrafficOptions",
     "TrafficReport",
     "adaptive_grouping",
     "block_space_per_sample",
-    "block_step_time",
     "compute_traffic",
     "exhaustive_grouping",
     "feasible_sub_batch",
@@ -49,6 +42,5 @@ __all__ = [
     "initial_grouping",
     "iteration_count",
     "make_schedule",
-    "schedule_step_time",
     "split_segments",
 ]

@@ -31,8 +31,8 @@ does not pay under the true model is simply not selected.
 A third implementation prices *seconds* instead of bytes:
 
 * :class:`LatencyCostModel` — simulated step time.  Each member block is
-  priced by :func:`repro.core.steptime.block_step_time`, which runs the
-  same traffic walkers *and* the same per-layer WaveCore timing
+  priced by :meth:`repro.core.steptime.BlockPricer.walk_seconds`, which
+  runs the same traffic walkers *and* the same per-layer WaveCore timing
   (``max(compute, DRAM)`` under weight double buffering) that
   :func:`repro.wavecore.simulator.simulate_step` runs, so
   ``schedule_cost(sched) == simulate_step(net, sched, cfg).time_s``
@@ -44,7 +44,7 @@ A third implementation prices *seconds* instead of bytes:
 A fourth prices *joules* (paper Sec. 6):
 
 * :class:`EnergyCostModel` — simulated step energy.  Each member block
-  is priced by :func:`repro.core.steptime.block_step_energy`: DRAM
+  is priced by :meth:`repro.core.steptime.BlockPricer.walk_joules`: DRAM
   and global-buffer bytes from the traffic walkers, MACs and block time
   from the WaveCore timing model, composed through the same per-access
   / per-op constants (:func:`repro.wavecore.energy.step_energy`) the
@@ -55,6 +55,14 @@ A fourth prices *joules* (paper Sec. 6):
   global-buffer component charges sub-batch re-streaming even when it
   hides under compute — so ``mbs-auto --objective energy`` is a third
   genuinely distinct optimum.
+
+The three walker-backed models hold no prices of their own.  Each is a
+projection of the network's :class:`~repro.core.steptime.BlockPricer`:
+it names each member's situation with
+:func:`~repro.core.steptime.situation` and looks the price up in the
+pricer's memo for its projection and word width, walking only on a
+miss — so a block situation is priced once per network, whichever DP
+call, sweep point or objective asks first.
 
 Finally, :class:`LexicographicCostModel` composes any two of the above
 into a tie-broken objective: candidates are compared by the primary
@@ -72,12 +80,8 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.schedule import Schedule
-from repro.core.steptime import BlockPricer, block_step_energy, block_step_time
-from repro.core.traffic import (
-    TrafficOptions,
-    block_reuse_class,
-    block_traffic_total,
-)
+from repro.core.steptime import BlockPricer, situation
+from repro.core.traffic import block_reuse_class
 from repro.graph.network import Network
 from repro.types import WORD_BYTES, ceil_div
 from repro.wavecore.config import DEFAULT_CONFIG, WaveCoreConfig
@@ -229,17 +233,22 @@ class _WalkerCostModel:
     """The methods every walker-backed cost model shares.
 
     Subclasses are frozen dataclasses with ``net``, ``mini_batch``,
-    ``relu_mask``, ``layer_reuse_bytes``, ``options`` and ``_memo``
-    fields and a ``_price(view, idx, eff_sub)`` method that prices one
-    block under a single-group view.  ``_key_has_sub`` extends the
-    per-block memo key with the effective sub-batch for models whose
-    price depends on the iteration *sequence* (compute time does; byte
-    counts depend only on the iteration count); ``_zero`` is the
-    additive identity of the model's cost type.
+    ``relu_mask``, ``layer_reuse_bytes``, ``word_bytes`` and ``cfg``
+    (a field on the hardware models, a class constant on the traffic
+    model) plus a ``_pricer`` set here, and two methods naming their
+    projection: ``_prices()``, the pricer's memo of it at this word
+    width, and ``_price(view, idx, eff_sub)``, its walk of one block
+    under a single-group view.  ``_zero`` is the additive identity of
+    the model's cost type.
     """
 
-    _key_has_sub = False
     _zero = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_pricer",
+            BlockPricer.shared(self.net, self.mini_batch, self.cfg),
+        )
 
     def group_cost(
         self,
@@ -248,23 +257,14 @@ class _WalkerCostModel:
         branch_reuse: bool,
         block_fused: Sequence[bool] | None = None,
     ):
-        """Price the members of one candidate group, memoized per block.
+        """Price the members of one candidate group from the pricer.
 
-        Builds the single-group :class:`_GroupView`, then prices each
-        member through ``_price(view, idx, eff_sub)``, memoized in
-        ``_memo`` on the exact facts the walkers consume — with the view
-        itself as the sole authority on edge on-chip flags, so the memo
-        key can never disagree with what a walk actually saw.  The key
-        also carries the environment flags the walkers read —
-        ``relu_mask`` always, and for unfused members (the sole path
-        that consults the per-layer reuse budget) the *canonicalized*
-        budget :func:`~repro.core.traffic.block_reuse_class`, under
-        which two budgets with identical per-layer fit outcomes share
-        one entry — so a memo dict may safely be *shared* across model
-        instances with different environments, e.g. the per-buffer
-        models of a sweep.  Accumulation starts from ``_zero`` and runs
-        in member order, keeping int sums exact and float association
-        reproducible.
+        Builds the single-group :class:`_GroupView`, then looks each
+        member's price up under its :func:`~repro.core.steptime.situation`
+        (the view is the sole authority on every fact in the key) and
+        walks it through ``_price`` only on a miss.  Accumulation
+        starts from ``_zero`` and runs in member order, keeping int sums
+        exact and float association reproducible.
         """
         if block_fused is None:
             block_fused = tuple(sub_batch > 0 for _ in blocks)
@@ -275,23 +275,12 @@ class _WalkerCostModel:
             blocks, iterations, block_fused, branch_reuse,
             self.mini_batch, self.relu_mask, self.layer_reuse_bytes,
         )
-        memo = self._memo
-        key_has_sub = self._key_has_sub
+        net, wb = self.net, self.word_bytes
+        memo = self._prices()
         total = self._zero
         for pos, idx in enumerate(blocks):
-            fused = block_fused[pos]
-            eff_sub = sub_batch if fused else 0
-            in_on = view.boundary_on_chip(idx - 1)
-            out_on = view.boundary_on_chip(idx)
-            key = (idx, fused, iterations, in_on, out_on, branch_reuse)
-            if key_has_sub:
-                key += (eff_sub,)
-            key += (self.relu_mask,)
-            if not fused:
-                key += (block_reuse_class(
-                    self.net.blocks[idx], self.mini_batch,
-                    self.options.word_bytes, self.layer_reuse_bytes,
-                ),)
+            eff_sub = sub_batch if block_fused[pos] else 0
+            key = situation(net, view, idx, eff_sub, wb)
             value = memo.get(key)
             if value is None:
                 value = memo[key] = self._price(view, idx, eff_sub)
@@ -310,58 +299,30 @@ class _WalkerCostModel:
         time/energy are monotone in a layer's DRAM bytes — minimized
         over both provisioning modes and every sub-batch the DP can
         actually assign the block (``subs_*`` from the caller's
-        feasibility running-mins).  Probes share ``_memo`` under the
-        same keys :meth:`group_cost` uses, so most floor walks are later
-        reused by interior DP probes (or vice versa).  Returns ``None``
-        when no fused candidate can contain the block.
+        feasibility running-mins).  Probes share the pricer's memo
+        with :meth:`group_cost`, so most floor walks are later reused by
+        interior DP probes (or vice versa).  Returns ``None`` when no
+        fused candidate can contain the block.
         """
-        memo = self._memo
+        memo = self._prices()
         best = None
         for branch_reuse, subs in ((False, subs_noreuse), (True, subs_reuse)):
             for sub in subs:
-                iterations = ceil_div(self.mini_batch, sub)
-                key = (idx, True, iterations, True, True, branch_reuse)
-                if self._key_has_sub:
-                    key += (sub,)
-                key += (self.relu_mask,)
+                # a 3-wide pseudo-view makes both of idx's edges
+                # interior (hence on-chip); walkers never walk the
+                # phantom neighbours, only query their fused flags
+                view = _GroupView(
+                    (idx - 1, idx, idx + 1), ceil_div(self.mini_batch, sub),
+                    (True, True, True), branch_reuse,
+                    self.mini_batch, self.relu_mask, self.layer_reuse_bytes,
+                )
+                key = situation(self.net, view, idx, sub, self.word_bytes)
                 value = memo.get(key)
                 if value is None:
-                    # a 3-wide pseudo-view makes both of idx's edges
-                    # interior (hence on-chip); walkers never walk the
-                    # phantom neighbours, only query their fused flags
-                    view = _GroupView(
-                        (idx - 1, idx, idx + 1), iterations,
-                        (True, True, True), branch_reuse,
-                        self.mini_batch, self.relu_mask,
-                        self.layer_reuse_bytes,
-                    )
                     value = memo[key] = self._price(view, idx, sub)
                 if best is None or value < best:
                     best = value
         return best
-
-    def streaming_cost(self, idx: int):
-        """Conventional layerwise streaming of one block (spilled group)."""
-        return self.group_cost((idx,), 0, False, block_fused=(False,))
-
-
-class _HardwareCostModel(_WalkerCostModel):
-    """A walker-backed model priced on WaveCore hardware (seconds, joules).
-
-    Subclasses add ``cfg`` and ``_pricer`` fields; a finished schedule is
-    priced by :meth:`~repro.core.steptime.BlockPricer.schedule_totals`,
-    the fold the evaluator (:mod:`repro.api`) runs.
-    """
-
-    _key_has_sub = True
-    _zero = 0.0
-
-    def __post_init__(self) -> None:
-        if self._pricer is None:
-            object.__setattr__(
-                self, "_pricer",
-                BlockPricer.shared(self.net, self.mini_batch, self.cfg),
-            )
 
 
 @dataclass(frozen=True)
@@ -376,22 +337,24 @@ class TrafficCostModel(_WalkerCostModel):
     without residue.  ``boundary_cost`` is zero by construction — the
     walkers charge every off-chip boundary's reads/writes to the blocks
     on either side.
+
+    Byte walks read no hardware, so the bytes memo lives on the
+    network's ``DEFAULT_CONFIG`` pricer whatever the caller simulates
+    on (``cfg`` is a class constant, not a field).
     """
 
     net: Network
     mini_batch: int
     relu_mask: bool = True
     layer_reuse_bytes: int = 0
-    options: TrafficOptions = field(default_factory=TrafficOptions)
-    #: A block's traffic depends only on (iterations, edge on-chip flags,
-    #: fused, branch_reuse) — memoizing on that key collapses the
-    #: adaptive DP's O(n²) group probes into O(n) distinct walks.
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    word_bytes: int = WORD_BYTES
+    _pricer: BlockPricer = field(init=False, repr=False, compare=False)
+
+    cfg = DEFAULT_CONFIG
 
     @classmethod
     def for_schedule(
-        cls, net: Network, sched: Schedule,
-        options: TrafficOptions | None = None,
+        cls, net: Network, sched: Schedule, word_bytes: int = WORD_BYTES,
     ) -> "TrafficCostModel":
         """Model whose flags match an existing schedule's environment."""
         return cls(
@@ -399,11 +362,14 @@ class TrafficCostModel(_WalkerCostModel):
             mini_batch=sched.mini_batch,
             relu_mask=sched.relu_mask,
             layer_reuse_bytes=sched.layer_reuse_bytes,
-            options=options or TrafficOptions(),
+            word_bytes=word_bytes,
         )
 
+    def _prices(self) -> dict:
+        return self._pricer.memo(self.word_bytes, "bytes")
+
     def _price(self, view, idx: int, eff_sub: int) -> int:
-        return block_traffic_total(self.net, view, idx, self.options)
+        return self._pricer.walk_bytes(view, idx, self.word_bytes)
 
     def schedule_cost(self, sched: Schedule) -> int:
         """Exact total of a full schedule via group + boundary components.
@@ -426,7 +392,7 @@ class TrafficCostModel(_WalkerCostModel):
 
 
 @dataclass(frozen=True)
-class LatencyCostModel(_HardwareCostModel):
+class LatencyCostModel(_WalkerCostModel):
     """Simulated-step-time cost model (seconds, not bytes).
 
     ``group_cost`` prices a candidate group by simulating each member
@@ -451,23 +417,16 @@ class LatencyCostModel(_HardwareCostModel):
     relu_mask: bool = True
     layer_reuse_bytes: int = 0
     cfg: WaveCoreConfig = DEFAULT_CONFIG
-    options: TrafficOptions = field(default_factory=TrafficOptions)
-    #: Memoized per-block simulated times.  Compute time depends on the
-    #: effective sub-batch (the iteration sequence shapes the GEMMs) and
-    #: traffic on the group flags, so the key extends the traffic memo's
-    #: with ``sub_batch``.
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
-    #: Buffer-independent pricing caches (compute profiles, DRAM row
-    #: indexes); built lazily, shareable across the models of a sweep.
-    _pricer: BlockPricer | None = field(
-        default=None, repr=False, compare=False
-    )
+    word_bytes: int = WORD_BYTES
+    _pricer: BlockPricer = field(init=False, repr=False, compare=False)
+
+    _zero = 0.0
 
     @classmethod
     def for_schedule(
         cls, net: Network, sched: Schedule,
         cfg: WaveCoreConfig | None = None,
-        options: TrafficOptions | None = None,
+        word_bytes: int = WORD_BYTES,
     ) -> "LatencyCostModel":
         """Model whose flags match an existing schedule's environment."""
         from repro.wavecore.config import config_for_policy
@@ -478,14 +437,14 @@ class LatencyCostModel(_HardwareCostModel):
             relu_mask=sched.relu_mask,
             layer_reuse_bytes=sched.layer_reuse_bytes,
             cfg=cfg if cfg is not None else config_for_policy(sched.policy),
-            options=options or TrafficOptions(),
+            word_bytes=word_bytes,
         )
 
+    def _prices(self) -> dict:
+        return self._pricer.memo(self.word_bytes, "seconds")
+
     def _price(self, view, idx: int, eff_sub: int) -> float:
-        return block_step_time(
-            self.net, view, idx, eff_sub, self.cfg, self.options,
-            pricer=self._pricer,
-        )
+        return self._pricer.walk_seconds(view, idx, eff_sub, self.word_bytes)
 
     def schedule_cost(self, sched: Schedule) -> float:
         """Exact simulated step time of a full schedule.
@@ -499,11 +458,11 @@ class LatencyCostModel(_HardwareCostModel):
         agreement.
         """
         _check_schedule_env(self, sched)
-        return self._pricer.schedule_totals(sched, self.options).seconds
+        return self._pricer.schedule_totals(sched, self.word_bytes).seconds
 
 
 @dataclass(frozen=True)
-class EnergyCostModel(_HardwareCostModel):
+class EnergyCostModel(_WalkerCostModel):
     """Simulated-step-energy cost model (joules, not bytes or seconds).
 
     ``group_cost`` prices a candidate group by composing, per member
@@ -521,7 +480,8 @@ class EnergyCostModel(_HardwareCostModel):
 
     Costs are chip-level joules and comparable only across candidates
     priced by one instance (fixed network, mini-batch, hardware config,
-    energy calibration).
+    energy calibration).  The pricer keeps one joules memo per
+    ``params``.
     """
 
     net: Network
@@ -529,25 +489,17 @@ class EnergyCostModel(_HardwareCostModel):
     relu_mask: bool = True
     layer_reuse_bytes: int = 0
     cfg: WaveCoreConfig = DEFAULT_CONFIG
-    options: TrafficOptions = field(default_factory=TrafficOptions)
+    word_bytes: int = WORD_BYTES
     params: EnergyParams = DEFAULT_ENERGY
-    #: Memoized per-block joules.  The static share depends on the
-    #: effective sub-batch (the iteration sequence shapes the GEMM
-    #: timings) and the byte shares on the group flags, so the key
-    #: extends the traffic memo's with ``sub_batch`` — same shape as
-    #: the latency model's.
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
-    #: Buffer-independent pricing caches (compute profiles, gbuf bytes,
-    #: DRAM row indexes); shareable across the models of a sweep.
-    _pricer: BlockPricer | None = field(
-        default=None, repr=False, compare=False
-    )
+    _pricer: BlockPricer = field(init=False, repr=False, compare=False)
+
+    _zero = 0.0
 
     @classmethod
     def for_schedule(
         cls, net: Network, sched: Schedule,
         cfg: WaveCoreConfig | None = None,
-        options: TrafficOptions | None = None,
+        word_bytes: int = WORD_BYTES,
         params: EnergyParams = DEFAULT_ENERGY,
     ) -> "EnergyCostModel":
         """Model whose flags match an existing schedule's environment."""
@@ -559,14 +511,16 @@ class EnergyCostModel(_HardwareCostModel):
             relu_mask=sched.relu_mask,
             layer_reuse_bytes=sched.layer_reuse_bytes,
             cfg=cfg if cfg is not None else config_for_policy(sched.policy),
-            options=options or TrafficOptions(),
+            word_bytes=word_bytes,
             params=params,
         )
 
+    def _prices(self) -> dict:
+        return self._pricer.memo(self.word_bytes, self.params)
+
     def _price(self, view, idx: int, eff_sub: int) -> float:
-        return block_step_energy(
-            self.net, view, idx, eff_sub, self.cfg, self.options,
-            self.params, pricer=self._pricer,
+        return self._pricer.walk_joules(
+            view, idx, eff_sub, self.word_bytes, self.params
         )
 
     def schedule_cost(self, sched: Schedule) -> float:
@@ -580,7 +534,7 @@ class EnergyCostModel(_HardwareCostModel):
         """
         _check_schedule_env(self, sched)
         return self._pricer.schedule_totals(
-            sched, self.options, self.params
+            sched, self.word_bytes, self.params
         ).energy.total_j
 
 
@@ -727,10 +681,6 @@ class LexicographicCostModel:
             return None
         return LexCost(p, s)
 
-    def streaming_cost(self, idx: int) -> LexCost:
-        """Conventional layerwise streaming of one block (spilled group)."""
-        return self.group_cost((idx,), 0, False, block_fused=(False,))
-
     def schedule_cost(self, sched: Schedule) -> LexCost:
         """Exact (primary, secondary) totals of a full schedule."""
         return LexCost(
@@ -751,15 +701,15 @@ class MemoizedCostModel:
     (:func:`~repro.core.traffic.block_reuse_class` per streaming
     member; the raw ``layer_reuse_bytes`` for models the walkers don't
     back).
-    The per-*block* memo inside the walker models already collapses the
-    DP's O(n²) probes to O(n) walks; this layer removes the remaining
-    per-group view construction and member loop, and — passed a shared
-    ``store`` — persists prices across the per-buffer model instances
-    of a sweep, where adjacent points re-probe mostly identical windows.
+    The pricer's per-*block* memos already collapse the DP's O(n²)
+    probes to O(n) walks; this layer removes the remaining per-group
+    view construction and member loop, and — passed a shared ``store``
+    — persists prices across the per-buffer model instances of a
+    sweep, where adjacent points re-probe mostly identical windows.
 
     A shared store must only span models that agree on everything *not*
     in the key: network, mini-batch, objective, hardware config modulo
-    the buffer budget, traffic options, and energy calibration.
+    the buffer budget, word width, and energy calibration.
     ``hits``/``misses`` count store lookups for observability.
     """
 
@@ -783,7 +733,7 @@ class MemoizedCostModel:
         lrb = getattr(inner, "layer_reuse_bytes", None)
         if lrb is None or env is None or not hasattr(env, "net"):
             return lrb
-        wb = env.options.word_bytes
+        wb = env.word_bytes
         return tuple(
             block_reuse_class(env.net.blocks[b], env.mini_batch, wb, lrb)
             for b, fused in zip(blocks, fused_t) if not fused
@@ -821,10 +771,6 @@ class MemoizedCostModel:
     def block_floor(self, idx, subs_reuse, subs_noreuse):
         fn = getattr(self.inner, "block_floor", None)
         return None if fn is None else fn(idx, subs_reuse, subs_noreuse)
-
-    def streaming_cost(self, idx: int):
-        """Conventional layerwise streaming of one block (spilled group)."""
-        return self.group_cost((idx,), 0, False, block_fused=(False,))
 
     def schedule_cost(self, sched: Schedule):
         return self.inner.schedule_cost(sched)

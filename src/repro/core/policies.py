@@ -42,7 +42,6 @@ from repro.core.cost import (
     ProxyCostModel,
     TrafficCostModel,
 )
-from repro.core.traffic import TrafficOptions
 from repro.core.grouping import (
     GroupingProblem,
     adaptive_grouping,
@@ -113,43 +112,39 @@ def _proxy_groups(
 
 
 class SweepCaches:
-    """Pricing state shared across the points of a buffer sweep.
+    """The whole-*group* price store shared across a buffer sweep.
 
-    Holds the per-role per-*block* walker memos and the whole-*group*
-    price store that :func:`sweep_schedules` threads through every
-    per-buffer ``mbs-auto`` search.  Both kinds of key carry the
-    environment facts a price depends on (``relu_mask`` always, the
-    per-layer reuse budget only where it is read), so one instance may
-    safely span sweep points whose ``layer_reuse_bytes`` tracks the
-    buffer budget — but must *not* span different networks, mini-batch
-    sizes, objectives, traffic options, energy calibrations, or configs
-    differing in anything beyond ``global_buffer_bytes``.
+    :func:`sweep_schedules` threads one instance through every
+    per-buffer ``mbs-auto`` search.  Its keys carry the environment
+    facts a group price depends on (``relu_mask`` always, the per-layer
+    reuse budget only where it is read), so one instance may safely
+    span sweep points whose ``layer_reuse_bytes`` tracks the buffer
+    budget — but must *not* span different networks, mini-batch sizes,
+    objectives, word widths, energy calibrations, or configs differing
+    in anything beyond ``global_buffer_bytes``.  Per-*block* prices are
+    not here: they live on the network's
+    :class:`~repro.core.steptime.BlockPricer`, whoever asks.
 
     ``hits``/``misses`` accumulate the group-store counters of every
     search run against this instance, for observability (the
     ``sweep-schedule`` CLI reports them).
     """
 
-    __slots__ = ("block_memos", "group_store", "hits", "misses")
+    __slots__ = ("group_store", "hits", "misses")
 
     def __init__(self) -> None:
-        self.block_memos: dict[str, dict] = {}
         self.group_store: dict = {}
         self.hits = 0
         self.misses = 0
-
-    def block_memo(self, role: str) -> dict:
-        """The shared per-block walker memo for one model role."""
-        return self.block_memos.setdefault(role, {})
 
 
 def clear_pricing_caches(net: Network) -> None:
     """Drop every cross-call pricing cache hung off a network's objects.
 
-    Restores the cold-start cost of :func:`make_schedule` — compute
-    profiles and the evaluator's block records
-    (:meth:`repro.core.steptime.BlockPricer.shared`) and per-block
-    footprint scalars are otherwise remembered by the network and block
+    Restores the cold-start cost of :func:`make_schedule` — the
+    network's :class:`~repro.core.steptime.BlockPricer` objects (compute
+    profiles and every per-block price memo) and per-block footprint
+    scalars are otherwise remembered by the network and block
     instances.  Benchmarks use this to measure the naive
     per-point sweep loop without cross-point reuse; the structural
     shape caches in :mod:`repro.graph` are *not* cleared (they belong
@@ -173,46 +168,22 @@ def _auto_model(
 ) -> MemoizedCostModel:
     """The memoized exact cost model for one ``mbs-auto`` objective.
 
-    With ``caches``, the walker models' per-block memos and the group
-    store are the sweep-shared dicts, so every price computed at one
-    buffer point is reusable at the next.
+    With ``caches``, the group store is the sweep-shared dict, so every
+    group price computed at one buffer point is reusable at the next.
     """
-    options = TrafficOptions(word_bytes=word_bytes)
-    if caches is None:
-        memo = lambda role: {}  # noqa: E731 - throwaway per-model dicts
-    else:
-        memo = caches.block_memo
+    env = {"relu_mask": relu_mask, "layer_reuse_bytes": layer_reuse_bytes,
+           "word_bytes": word_bytes}
     if objective == "latency":
-        inner = LatencyCostModel(
-            net, n_batch, relu_mask=relu_mask,
-            layer_reuse_bytes=layer_reuse_bytes,
-            cfg=cfg, options=options, _memo=memo("latency"),
-        )
+        inner = LatencyCostModel(net, n_batch, cfg=cfg, **env)
     elif objective == "latency+traffic":
         inner = LexicographicCostModel(
-            primary=LatencyCostModel(
-                net, n_batch, relu_mask=relu_mask,
-                layer_reuse_bytes=layer_reuse_bytes,
-                cfg=cfg, options=options, _memo=memo("latency"),
-            ),
-            secondary=TrafficCostModel(
-                net, n_batch, relu_mask=relu_mask,
-                layer_reuse_bytes=layer_reuse_bytes,
-                options=options, _memo=memo("traffic"),
-            ),
+            primary=LatencyCostModel(net, n_batch, cfg=cfg, **env),
+            secondary=TrafficCostModel(net, n_batch, **env),
         )
     elif objective == "energy":
-        inner = EnergyCostModel(
-            net, n_batch, relu_mask=relu_mask,
-            layer_reuse_bytes=layer_reuse_bytes,
-            cfg=cfg, options=options, _memo=memo("energy"),
-        )
+        inner = EnergyCostModel(net, n_batch, cfg=cfg, **env)
     else:
-        inner = TrafficCostModel(
-            net, n_batch, relu_mask=relu_mask,
-            layer_reuse_bytes=layer_reuse_bytes,
-            options=options, _memo=memo("traffic"),
-        )
+        inner = TrafficCostModel(net, n_batch, **env)
     return MemoizedCostModel(
         inner, store=None if caches is None else caches.group_store
     )
@@ -472,12 +443,12 @@ def sweep_schedules(
     Semantically identical to calling :func:`make_schedule` once per
     element of ``buffer_sizes`` (the returned schedules are exactly
     those), but for ``mbs-auto`` the per-buffer searches share one
-    :class:`SweepCaches`: the buffer-independent compute profiles, the
-    walker models' per-block memos, and the whole-group price store all
-    persist across points, so a candidate group priced at one buffer
-    size is free at every other where it recurs — adjacent sweep points
-    explore mostly identical windows, which is what makes the batch API
-    an order of magnitude faster than the naive per-point loop.
+    :class:`SweepCaches` whole-group price store, so a candidate group
+    priced at one buffer size is free at every other where it recurs —
+    adjacent sweep points explore mostly identical windows, which is
+    what makes the batch API an order of magnitude faster than the
+    naive per-point loop.  (Per-block prices and compute profiles
+    persist on the network's pricer either way.)
 
     Pass ``caches`` to inspect hit/miss counters afterwards (one is
     created internally otherwise).  ``cfg``, when given, pins the same

@@ -1,4 +1,4 @@
-"""Per-block pricing: simulated seconds and joules from the scheduler.
+"""Per-block pricing: DRAM bytes, simulated seconds and joules.
 
 The timing contract (paper Sec. 4.2) prices a layer at ``max(compute,
 DRAM)``: local buffers are double-buffered, so a layer's off-chip
@@ -9,23 +9,25 @@ times in dependency order.  The energy model (Sec. 4.2 / Sec. 6)
 prices a step from four chip-level totals: DRAM bytes, global-buffer
 bytes, MAC count, and the step time (static power).
 
-Crucially, a block's simulated time, traffic, global-buffer movement
+Crucially, a block's traffic, simulated time, global-buffer movement
 and MACs depend only on the block itself, network-structural facts,
 and its owning group's facts — sub-batch, iteration count, edge
-on-chip flags, provisioning mode — exactly the locality that lets
-:class:`repro.core.cost.TrafficCostModel` decompose DRAM bytes over
-groups.  This module exploits the same locality for *seconds* and
-*joules*, all through one path: :class:`BlockPricer` caches what does
-not depend on the schedule, :func:`block_step_time` and
-:func:`block_step_energy` price one block under any schedule-like view
-with the very traffic walkers and per-layer timing the simulator runs,
-and :meth:`BlockPricer.schedule_totals` folds a finished schedule's
-memoized per-block records (:class:`BlockRecord`) in the simulator's
-own association, so
+on-chip flags, provisioning mode (Sec. 3).  :func:`situation` names
+exactly those facts, and :class:`BlockPricer` is the one owner of
+every per-block price memoized on them: the bytes, seconds and joules
+the scheduling DP's cost models (:mod:`repro.core.cost`) sum over a
+candidate group, and the :class:`BlockRecord` the evaluator folds.
+Each projection keeps its own memo because each costs a different
+walk (OCCAM's point that one byte model serves several metrics):
+bytes need no hardware at all, seconds add the compute profile, and a
+record adds per-category bytes and global-buffer bytes that only the
+evaluator reads.  :meth:`BlockPricer.schedule_totals` folds a finished
+schedule's records in the simulator's own association, so
 
 ```python
-schedule_step_time(net, sched, cfg) == simulate_step(net, sched, cfg).time_s
-pricer.schedule_totals(sched, options).energy \
+pricer.schedule_totals(sched, word_bytes).seconds \
+    == simulate_step(net, sched, cfg).time_s
+pricer.schedule_totals(sched, word_bytes).energy \
     == simulate_step(net, sched, cfg).energy
 ```
 
@@ -37,7 +39,7 @@ same number the evaluator reports.
 :func:`~repro.wavecore.simulator.simulate_step` deliberately keeps its
 own walk (``compute_traffic``, per-layer attribution, ``LayerTiming``
 sums): it is the independent reference those tests compare this
-module against, so it must not be routed through these records.
+module against, so it must not be routed through these memos.
 
 Weight double buffering is honored through the injected
 :class:`~repro.wavecore.config.WaveCoreConfig`: with it on, a GEMM wave
@@ -62,12 +64,11 @@ from repro.core.schedule import Schedule
 from repro.core.traffic import (
     Category,
     Phase,
-    TrafficOptions,
     block_reuse_class,
     walk_block_traffic,
 )
 from repro.graph.network import Network
-from repro.wavecore.config import WaveCoreConfig, config_for_policy
+from repro.wavecore.config import WaveCoreConfig
 from repro.wavecore.energy import DEFAULT_ENERGY, EnergyParams, step_energy
 from repro.wavecore.report import EnergyBreakdown
 from repro.wavecore.timing import (
@@ -107,6 +108,24 @@ class _DramRowIndex:
         if got is None:
             got = rows[raw] = rows[self._resolve(raw)]
         return got
+
+
+class _SumTrafficReport:
+    """Duck-typed ``TrafficReport`` that keeps only the byte total.
+
+    The cheapest walk: the traffic objective reads a single number per
+    block situation, so materializing records or rows is pure churn
+    there.
+    """
+
+    __slots__ = ("total_bytes",)
+
+    def __init__(self) -> None:
+        self.total_bytes = 0
+
+    def add(self, block, layer, kind, phase, category, nbytes) -> None:
+        if nbytes > 0:
+            self.total_bytes += int(nbytes)
 
 
 class _DramRowReport:
@@ -191,7 +210,6 @@ def _block_seconds(
     compute_s: tuple[float, ...],
     row_bytes: list[int],
     core_bandwidth: float,
-    unlimited_bandwidth: bool = False,
 ) -> float:
     """Per-layer ``max(compute, DRAM)`` of one block, summed in row order.
 
@@ -200,18 +218,50 @@ def _block_seconds(
     the total is bit-identical to it.
     """
     total = 0.0
-    if unlimited_bandwidth:
-        for compute in compute_s:
-            total += compute
-        return total
     for compute, nbytes in zip(compute_s, row_bytes):
         dram = nbytes / core_bandwidth
         total += compute if compute >= dram else dram
     return total
 
 
+def situation(
+    net: Network, sched_like, idx: int, sub_batch: int, word_bytes: int
+) -> tuple:
+    """Name block ``idx``'s situation: every fact its walkers read.
+
+    The key of every per-block memo of :class:`BlockPricer`.
+    ``sched_like`` is a :class:`~repro.core.schedule.Schedule` or any
+    object with its query surface (the cost models pass a single-group
+    view), and is the sole authority on each fact, so a key can never
+    disagree with what a walk saw.  ``sub_batch`` is the block's
+    *effective* sub-batch: the owning group's when the block fuses, 0
+    when it streams layerwise.  The facts are the index, fused flag,
+    iteration count, both edge on-chip flags, provisioning mode,
+    effective sub-batch (compute time depends on the iteration
+    *sequence*, not only its length) and ``relu_mask``; an unfused
+    block adds the canonical reuse budget
+    (:func:`~repro.core.traffic.block_reuse_class`) its layerwise walk
+    reads, under which budgets with identical per-layer fit outcomes
+    share one entry.  Word width and mini-batch are not in the key: a
+    pricer serves one mini-batch and keeps one memo per word width.
+    """
+    fused = sched_like.block_fused(idx)
+    key = (
+        idx, fused, sched_like.iterations_of_block(idx),
+        sched_like.boundary_on_chip(idx - 1),
+        sched_like.boundary_on_chip(idx),
+        sched_like.branch_reuse_of(idx), sub_batch, sched_like.relu_mask,
+    )
+    if fused:
+        return key
+    return key + (block_reuse_class(
+        net.blocks[idx], sched_like.mini_batch, word_bytes,
+        sched_like.layer_reuse_bytes,
+    ),)
+
+
 class BlockPricer:
-    """Caches the buffer-independent inputs of per-block pricing.
+    """The one owner of per-block pricing state for one network.
 
     Compute profiles, MAC totals, global-buffer byte counts, and DRAM
     row indexes depend only on ``(net, mini_batch, cfg)`` plus
@@ -222,14 +272,19 @@ class BlockPricer:
     ``compute_s`` values of
     :func:`~repro.wavecore.timing.block_layer_timings`, in its order.
 
-    It also memoizes one :class:`BlockRecord` per block situation
-    (:meth:`record`); :meth:`schedule_totals` sums them for the
-    evaluator and the hardware cost models' ``schedule_cost`` instead
-    of re-walking every block of every finished schedule.
+    On top of those it memoizes every per-block price on the block's
+    :func:`situation`, one memo per projection and word width
+    (:meth:`memo`): DRAM bytes (:meth:`walk_bytes`), seconds
+    (:meth:`walk_seconds`), joules under one energy calibration
+    (:meth:`walk_joules`) and the evaluator's :class:`BlockRecord`
+    (:meth:`walk_record`).  The cost models look prices up there, and
+    :meth:`schedule_totals` folds a finished schedule's records instead
+    of re-walking its blocks, so every price lives as long as the
+    network does and is computed once per network.
     """
 
     __slots__ = ("net", "mini_batch", "cfg", "_profiles", "_gbuf", "_rows",
-                 "_records")
+                 "_memos")
 
     def __init__(self, net: Network, mini_batch: int, cfg: WaveCoreConfig):
         # A proxy, not a reference: the network holds its pricers
@@ -242,7 +297,7 @@ class BlockPricer:
                              tuple[tuple[float, ...], int]] = {}
         self._gbuf: dict[tuple[int, int], int] = {}
         self._rows: dict[int, _DramRowIndex] = {}
-        self._records: dict[TrafficOptions, dict[tuple, BlockRecord]] = {}
+        self._memos: dict[tuple, dict] = {}
 
     @classmethod
     def shared(
@@ -253,9 +308,9 @@ class BlockPricer:
         Cached in the (immutable) network's instance ``__dict__``, so its
         lifetime is tied to the network object and repeated schedule
         searches — every point of a buffer sweep, every objective —
-        share one set of compute profiles.  ``global_buffer_bytes`` is
-        excluded from the key: it is the one config field a sweep varies,
-        and pricing never reads it.
+        share one set of compute profiles and prices.
+        ``global_buffer_bytes`` is excluded from the key: it is the one
+        config field a sweep varies, and pricing never reads it.
         """
         cache = net.__dict__.setdefault("_pricer_cache", {})
         key = (mini_batch,) + tuple(
@@ -302,72 +357,117 @@ class BlockPricer:
             self._rows[idx] = got
         return got
 
-    def record(
-        self, sched_like, idx: int, sub_batch: int, options: TrafficOptions
-    ) -> BlockRecord:
-        """The memoized :class:`BlockRecord` of block ``idx``.
+    def memo(self, word_bytes: int, projection) -> dict:
+        """One projection's memo at one word width, keyed by situation.
 
-        ``sched_like`` and ``sub_batch`` are as in
-        :func:`block_step_time`; its ``mini_batch`` must be this
-        pricer's.  The key holds the facts the walkers read, as the
-        cost models' memo keys do (``repro.core.cost``): iterations,
-        fused, both edge flags, ``branch_reuse``, the effective
-        sub-batch, ``relu_mask`` and, for an unfused block, the
-        canonical reuse budget :func:`block_reuse_class`.  ``options``
-        selects the memo, so records for different word widths never
-        mix.
+        ``projection`` is ``"bytes"``, ``"seconds"``, ``"records"``, or
+        the :class:`~repro.wavecore.energy.EnergyParams` joules are
+        priced under.  Fetch it once per priced group or schedule, not
+        per block: every lookup is then one :func:`situation` tuple
+        plus one dict hit.
         """
-        fused = sched_like.block_fused(idx)
-        key = (
-            idx, fused, sched_like.iterations_of_block(idx),
-            sched_like.boundary_on_chip(idx - 1),
-            sched_like.boundary_on_chip(idx),
-            sched_like.branch_reuse_of(idx), sub_batch, sched_like.relu_mask,
-        )
-        if not fused:
-            key += (block_reuse_class(
-                self.net.blocks[idx], self.mini_batch, options.word_bytes,
-                sched_like.layer_reuse_bytes,
-            ),)
-        memo = self._records.get(options)
-        if memo is None:
-            memo = self._records[options] = {}
-        got = memo.get(key)
+        key = (projection, word_bytes)
+        got = self._memos.get(key)
         if got is None:
-            compute_s, macs = self.profile(idx, sub_batch)
-            rep = _RecordReport(self.rows(idx))
-            walk_block_traffic(rep, self.net, sched_like, idx, options)
-            got = memo[key] = BlockRecord(
-                seconds=_block_seconds(
-                    compute_s, rep.row_bytes, self.cfg.core_bandwidth
-                ),
-                dram_bytes=rep.total_bytes,
-                macs=macs,
-                gbuf_bytes=self.gbuf_bytes(idx, sub_batch),
-                fwd=tuple((cat.value, n) for cat, n in rep.fwd.items()),
-                bwd=tuple((cat.value, n) for cat, n in rep.bwd.items()),
-            )
+            got = self._memos[key] = {}
         return got
 
+    def walk_bytes(self, sched_like, idx: int, word_bytes: int) -> int:
+        """Both-phase DRAM bytes of block ``idx`` under ``sched_like``.
+
+        Reads neither the compute profile nor ``cfg``, so the traffic
+        objective never computes hardware timing.
+        """
+        rep = _SumTrafficReport()
+        walk_block_traffic(rep, self.net, sched_like, idx, word_bytes)
+        return rep.total_bytes
+
+    def walk_seconds(
+        self, sched_like, idx: int, sub_batch: int, word_bytes: int
+    ) -> float:
+        """Simulated time of block ``idx`` alone: its ordered per-layer
+        ``max(compute, DRAM)`` sum, as ``simulate_step`` accumulates it."""
+        compute_s, _macs = self.profile(idx, sub_batch)
+        rep = _DramRowReport(self.rows(idx))
+        walk_block_traffic(rep, self.net, sched_like, idx, word_bytes)
+        return _block_seconds(compute_s, rep.row_bytes, self.cfg.core_bandwidth)
+
+    def walk_joules(
+        self, sched_like, idx: int, sub_batch: int, word_bytes: int,
+        params: EnergyParams,
+    ) -> float:
+        """Chip-level joules attributable to block ``idx`` alone.
+
+        The block's share of each energy component from its own DRAM
+        bytes, global-buffer bytes, MACs and time, scaled to chip level
+        exactly the way the simulator scales its totals — per-block
+        prices therefore sum to the simulated step energy up to float
+        association (the int-valued byte and MAC totals are exact; only
+        the final per-component multiplies reassociate).
+        """
+        cfg = self.cfg
+        compute_s, macs = self.profile(idx, sub_batch)
+        rep = _DramRowReport(self.rows(idx))
+        walk_block_traffic(rep, self.net, sched_like, idx, word_bytes)
+        time_s = _block_seconds(compute_s, rep.row_bytes, cfg.core_bandwidth)
+        # DRAM traffic also streams through the global buffer
+        gbuf = self.gbuf_bytes(idx, sub_batch) + rep.total_bytes
+        return step_energy(
+            cfg,
+            time_s,
+            chip_dram_bytes=rep.total_bytes * cfg.cores,
+            chip_gbuf_bytes=gbuf * cfg.cores,
+            chip_macs=macs * cfg.cores,
+            params=params,
+        ).total_j
+
+    def walk_record(
+        self, sched_like, idx: int, sub_batch: int, word_bytes: int
+    ) -> BlockRecord:
+        """The :class:`BlockRecord` of block ``idx`` under ``sched_like``."""
+        compute_s, macs = self.profile(idx, sub_batch)
+        rep = _RecordReport(self.rows(idx))
+        walk_block_traffic(rep, self.net, sched_like, idx, word_bytes)
+        return BlockRecord(
+            seconds=_block_seconds(
+                compute_s, rep.row_bytes, self.cfg.core_bandwidth
+            ),
+            dram_bytes=rep.total_bytes,
+            macs=macs,
+            gbuf_bytes=self.gbuf_bytes(idx, sub_batch),
+            fwd=tuple((cat.value, n) for cat, n in rep.fwd.items()),
+            bwd=tuple((cat.value, n) for cat, n in rep.bwd.items()),
+        )
+
     def schedule_records(
-        self, sched: Schedule, options: TrafficOptions
+        self, sched: Schedule, word_bytes: int
     ) -> list[BlockRecord]:
-        """One record per block of a finished schedule, in block order."""
-        if sched.num_blocks != len(self.net.blocks):
+        """One memoized record per block of a finished schedule, in
+        block order."""
+        net = self.net
+        if sched.num_blocks != len(net.blocks):
             raise ValueError(
                 f"schedule covers {sched.num_blocks} blocks, network has "
-                f"{len(self.net.blocks)}"
+                f"{len(net.blocks)}"
             )
-        return [
-            self.record(sched, idx, g.sub_batch if fused else 0, options)
-            for g in sched.groups
-            for idx, fused in zip(g.blocks, g.block_fused)
-        ]
+        memo = self.memo(word_bytes, "records")
+        records = []
+        for g in sched.groups:
+            for idx, fused in zip(g.blocks, g.block_fused):
+                sub_batch = g.sub_batch if fused else 0
+                key = situation(net, sched, idx, sub_batch, word_bytes)
+                rec = memo.get(key)
+                if rec is None:
+                    rec = memo[key] = self.walk_record(
+                        sched, idx, sub_batch, word_bytes
+                    )
+                records.append(rec)
+        return records
 
     def schedule_totals(
         self,
         sched: Schedule,
-        options: TrafficOptions,
+        word_bytes: int,
         params: EnergyParams = DEFAULT_ENERGY,
     ) -> ScheduleTotals:
         """Price a finished schedule by folding :meth:`schedule_records`.
@@ -378,7 +478,7 @@ class BlockPricer:
         Energy is :func:`~repro.wavecore.energy.step_energy` on the four
         chip-level totals, computed once, as in ``simulate_step``.
         """
-        records = self.schedule_records(sched, options)
+        records = self.schedule_records(sched, word_bytes)
         time_s = 0.0
         dram_bytes = macs = gbuf_bytes = 0
         by_cat: dict[str, int] = {}
@@ -403,110 +503,3 @@ class BlockPricer:
             params=params,
         )
         return ScheduleTotals(time_s, dram_bytes, by_cat, energy)
-
-
-def block_step_time(
-    net: Network,
-    sched_like,
-    idx: int,
-    sub_batch: int,
-    cfg: WaveCoreConfig,
-    options: TrafficOptions | None = None,
-    unlimited_bandwidth: bool = False,
-    pricer: BlockPricer | None = None,
-) -> float:
-    """Simulated time of block ``idx`` alone under a schedule-like view.
-
-    ``sched_like`` may be any object exposing the Schedule query surface
-    the traffic walkers consume (``mini_batch``, ``relu_mask``,
-    ``layer_reuse_bytes``, ``iterations_of_block``, ``block_fused``,
-    ``boundary_on_chip``, ``branch_reuse_of``) — the cost model passes a
-    single-group view.  ``sub_batch`` is the block's *effective*
-    sub-batch: 0 when it streams layerwise (unfused), the owning group's
-    sub-batch otherwise.
-
-    The per-layer accumulation order matches ``simulate_step`` exactly,
-    so these block times sum to the simulated step time bit-for-bit.
-
-    ``pricer`` is a :class:`BlockPricer` built for the same ``net``,
-    ``mini_batch``, and a cfg sharing this one's compute-side fields;
-    it defaults to :meth:`BlockPricer.shared`.
-    """
-    if pricer is None:
-        pricer = BlockPricer.shared(net, sched_like.mini_batch, cfg)
-    compute_s, _macs = pricer.profile(idx, sub_batch)
-    rep = _DramRowReport(pricer.rows(idx))
-    walk_block_traffic(rep, net, sched_like, idx, options)
-    return _block_seconds(
-        compute_s, rep.row_bytes, cfg.core_bandwidth, unlimited_bandwidth
-    )
-
-
-def block_step_energy(
-    net: Network,
-    sched_like,
-    idx: int,
-    sub_batch: int,
-    cfg: WaveCoreConfig,
-    options: TrafficOptions | None = None,
-    params: EnergyParams = DEFAULT_ENERGY,
-    pricer: BlockPricer | None = None,
-) -> float:
-    """Chip-level joules attributable to block ``idx`` alone.
-
-    Arguments are as in :func:`block_step_time`.  The block's share of
-    each energy component is computed from its own DRAM bytes,
-    global-buffer bytes, MACs, and time, scaled to chip level exactly
-    the way the simulator scales its totals — per-block prices
-    therefore sum to the simulated step energy up to float association
-    (the int-valued byte and MAC totals are exact; only the final
-    per-component multiplies reassociate).
-    """
-    if pricer is None:
-        pricer = BlockPricer.shared(net, sched_like.mini_batch, cfg)
-    compute_s, macs = pricer.profile(idx, sub_batch)
-    rep = _DramRowReport(pricer.rows(idx))
-    walk_block_traffic(rep, net, sched_like, idx, options)
-    time_s = _block_seconds(compute_s, rep.row_bytes, cfg.core_bandwidth)
-    # DRAM traffic also streams through the global buffer
-    gbuf = pricer.gbuf_bytes(idx, sub_batch) + rep.total_bytes
-    return step_energy(
-        cfg,
-        time_s,
-        chip_dram_bytes=rep.total_bytes * cfg.cores,
-        chip_gbuf_bytes=gbuf * cfg.cores,
-        chip_macs=macs * cfg.cores,
-        params=params,
-    ).total_j
-
-
-def schedule_step_time(
-    net: Network,
-    sched: Schedule,
-    cfg: WaveCoreConfig | None = None,
-    options: TrafficOptions | None = None,
-    unlimited_bandwidth: bool = False,
-) -> float:
-    """Step time of a full schedule from per-block prices.
-
-    Equals :func:`repro.wavecore.simulator.step_time` (and therefore
-    ``simulate_step(...).time_s``) exactly — same walkers, same per-layer
-    timing, same float association.
-    """
-    if sched.num_blocks != len(net.blocks):
-        raise ValueError(
-            f"schedule covers {sched.num_blocks} blocks, network has "
-            f"{len(net.blocks)}"
-        )
-    if cfg is None:
-        cfg = config_for_policy(sched.policy)
-    pricer = BlockPricer.shared(net, sched.mini_batch, cfg)
-    total = 0.0
-    for idx in range(len(net.blocks)):
-        group = sched.group_of_block(idx)
-        sub_batch = group.sub_batch if sched.block_fused(idx) else 0
-        total += block_step_time(
-            net, sched, idx, sub_batch, cfg, options,
-            unlimited_bandwidth=unlimited_bandwidth, pricer=pricer,
-        )
-    return total

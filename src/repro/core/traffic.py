@@ -57,14 +57,6 @@ class Category(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TrafficOptions:
-    word_bytes: int = WORD_BYTES
-    mask_bits: int = RELU_MASK_BITS
-    pool_index_bytes: int = POOL_INDEX_BYTES
-    norm_double_read: bool = True
-
-
-@dataclass(frozen=True)
 class TrafficRecord:
     block: str
     layer: str
@@ -156,8 +148,8 @@ def _block_in_consumers(block: Block) -> int:
     return len(block.branches) if block.is_module else 1
 
 
-def _mask_bytes(layer: Layer, n: int, opt: TrafficOptions) -> int:
-    return (layer.out_shape.elems * n * opt.mask_bits + 7) // 8
+def _mask_bytes(layer: Layer, n: int) -> int:
+    return (layer.out_shape.elems * n * RELU_MASK_BITS + 7) // 8
 
 
 def _nonidentity_leaves(block: Block, word_bytes: int = WORD_BYTES) -> list[int]:
@@ -197,11 +189,10 @@ def _fwd_fused(
     net: Network,
     sched: Schedule,
     idx: int,
-    opt: TrafficOptions,
+    wb: int,
 ) -> None:
     block = net.blocks[idx]
     n = sched.mini_batch
-    wb = opt.word_bytes
     iters = sched.iterations_of_block(idx)
     in_on_chip = sched.boundary_on_chip(idx - 1)
     out_on_chip = sched.boundary_on_chip(idx)
@@ -229,13 +220,13 @@ def _fwd_fused(
                         Category.PARAM, iters * layer.param_bytes(wb))
             elif layer.kind is LayerKind.ACT and sched.relu_mask:
                 rep.add(block.name, layer.name, layer.kind, Phase.FWD,
-                        Category.MASK_WR, _mask_bytes(layer, n, opt))
+                        Category.MASK_WR, _mask_bytes(layer, n))
             elif layer.kind is LayerKind.POOL:
                 from repro.graph.layers import Pool, PoolKind
                 if isinstance(layer, Pool) and layer.pool is PoolKind.MAX:
                     rep.add(block.name, layer.name, layer.kind, Phase.FWD,
                             Category.MASK_WR,
-                            layer.out_shape.elems * n * opt.pool_index_bytes)
+                            layer.out_shape.elems * n * POOL_INDEX_BYTES)
             # checkpoint intra-block edges consumed by conv/fc/norm
             if i > 0 and layer.kind in _CHECKPOINT_CONSUMERS:
                 rep.add(block.name, layer.name, layer.kind, Phase.FWD,
@@ -283,11 +274,10 @@ def _bwd_fused(
     net: Network,
     sched: Schedule,
     idx: int,
-    opt: TrafficOptions,
+    wb: int,
 ) -> None:
     block = net.blocks[idx]
     n = sched.mini_batch
-    wb = opt.word_bytes
     iters = sched.iterations_of_block(idx)
     in_on_chip = sched.boundary_on_chip(idx - 1)
     out_on_chip = sched.boundary_on_chip(idx)
@@ -326,7 +316,7 @@ def _bwd_fused(
             elif layer.kind is LayerKind.ACT:
                 if sched.relu_mask:
                     rep.add(block.name, layer.name, layer.kind, Phase.BWD,
-                            Category.MASK_RD, _mask_bytes(layer, n, opt))
+                            Category.MASK_RD, _mask_bytes(layer, n))
                 # without the mask trick the activation value read is
                 # shared on chip with the consumer conv's checkpoint read
                 # except at an off-chip boundary, handled below.
@@ -335,7 +325,7 @@ def _bwd_fused(
                 if isinstance(layer, Pool) and layer.pool is PoolKind.MAX:
                     rep.add(block.name, layer.name, layer.kind, Phase.BWD,
                             Category.MASK_RD,
-                            layer.out_shape.elems * n * opt.pool_index_bytes)
+                            layer.out_shape.elems * n * POOL_INDEX_BYTES)
 
     # post-merge activation at an off-chip boundary without mask trick
     if not sched.relu_mask and not out_on_chip and not last_block:
@@ -527,13 +517,12 @@ def _fwd_unfused(
     net: Network,
     sched: Schedule,
     idx: int,
-    opt: TrafficOptions,
+    wb: int,
 ) -> None:
     from repro.graph.layers import Pool, PoolKind
 
     block = net.blocks[idx]
     n = sched.mini_batch
-    wb = opt.word_bytes
     iters = sched.iterations_of_block(idx)
     budget = sched.layer_reuse_bytes
 
@@ -547,11 +536,11 @@ def _fwd_unfused(
                     Category.PARAM, iters * layer.param_bytes(wb))
         elif layer.kind is LayerKind.ACT and sched.relu_mask:
             rep.add(block.name, layer.name, layer.kind, Phase.FWD,
-                    Category.MASK_WR, _mask_bytes(layer, n, opt))
+                    Category.MASK_WR, _mask_bytes(layer, n))
         elif isinstance(layer, Pool) and layer.pool is PoolKind.MAX:
             rep.add(block.name, layer.name, layer.kind, Phase.FWD,
                     Category.MASK_WR,
-                    layer.out_shape.elems * n * opt.pool_index_bytes)
+                    layer.out_shape.elems * n * POOL_INDEX_BYTES)
 
     # dataflow traffic per tensor
     for t in _block_tensors(block, wb):
@@ -568,9 +557,7 @@ def _fwd_unfused(
                 continue
             if edge_on[id(c)]:
                 continue
-            factor = (
-                2 if (c.kind is LayerKind.NORM and opt.norm_double_read) else 1
-            )
+            factor = 2 if c.kind is LayerKind.NORM else 1
             rep.add(block.name, layer_name, kind, Phase.FWD,
                     Category.FEAT_RD, factor * nbytes)
         # write by producer
@@ -592,13 +579,12 @@ def _bwd_unfused(
     net: Network,
     sched: Schedule,
     idx: int,
-    opt: TrafficOptions,
+    wb: int,
 ) -> None:
     from repro.graph.layers import Pool, PoolKind
 
     block = net.blocks[idx]
     n = sched.mini_batch
-    wb = opt.word_bytes
     iters = sched.iterations_of_block(idx)
     budget = sched.layer_reuse_bytes
     first_overall = idx == 0
@@ -623,7 +609,7 @@ def _bwd_unfused(
                 rep.add(block.name, layer.name, layer.kind, Phase.BWD,
                         Category.GRAD_RD, out_b)
         elif layer.kind is LayerKind.NORM:
-            factor = 2 if (opt.norm_double_read and not held) else 1
+            factor = 1 if held else 2
             rep.add(block.name, layer.name, layer.kind, Phase.BWD,
                     Category.CHK_RD, factor * in_b)
             rep.add(block.name, layer.name, layer.kind, Phase.BWD,
@@ -631,14 +617,14 @@ def _bwd_unfused(
         elif layer.kind is LayerKind.ACT:
             if sched.relu_mask:
                 rep.add(block.name, layer.name, layer.kind, Phase.BWD,
-                        Category.MASK_RD, _mask_bytes(layer, n, opt))
+                        Category.MASK_RD, _mask_bytes(layer, n))
             else:
                 rep.add(block.name, layer.name, layer.kind, Phase.BWD,
                         Category.CHK_RD, out_b)
         elif isinstance(layer, Pool) and layer.pool is PoolKind.MAX:
             rep.add(block.name, layer.name, layer.kind, Phase.BWD,
                     Category.MASK_RD,
-                    layer.out_shape.elems * n * opt.pool_index_bytes)
+                    layer.out_shape.elems * n * POOL_INDEX_BYTES)
 
     # gradient dataflow per tensor (reverse of the forward edges)
     for t in _block_tensors(block, wb):
@@ -672,31 +658,12 @@ def _bwd_unfused(
 # entry point
 # ----------------------------------------------------------------------
 
-class _SumTrafficReport:
-    """Duck-typed :class:`TrafficReport` that keeps only the byte total.
-
-    The scheduling DP prices thousands of candidate groups and reads a
-    single number from each walk; materializing a ``TrafficRecord`` per
-    tensor transfer is pure allocation churn there.  Walkers only call
-    ``add`` — both report flavours accept the same call.
-    """
-
-    __slots__ = ("total_bytes",)
-
-    def __init__(self) -> None:
-        self.total_bytes = 0
-
-    def add(self, block, layer, kind, phase, category, nbytes) -> None:
-        if nbytes > 0:
-            self.total_bytes += int(nbytes)
-
-
 def walk_block_traffic(
     rep,
     net: Network,
     sched,
     idx: int,
-    options: TrafficOptions | None = None,
+    word_bytes: int = WORD_BYTES,
 ) -> None:
     """Run both phase walkers for block ``idx`` into ``rep``.
 
@@ -708,53 +675,35 @@ def walk_block_traffic(
     passes a single-group view so the grouping optimizer prices
     candidates with *exactly* these walkers.
     """
-    opt = options or TrafficOptions()
     if sched.block_fused(idx):
-        _fwd_fused(rep, net, sched, idx, opt)
-        _bwd_fused(rep, net, sched, idx, opt)
+        _fwd_fused(rep, net, sched, idx, word_bytes)
+        _bwd_fused(rep, net, sched, idx, word_bytes)
     else:
-        _fwd_unfused(rep, net, sched, idx, opt)
-        _bwd_unfused(rep, net, sched, idx, opt)
-
-
-def block_traffic_total(
-    net: Network,
-    sched,
-    idx: int,
-    options: TrafficOptions | None = None,
-) -> int:
-    """Both-phase traffic of block ``idx`` as a bare byte count.
-
-    Bit-identical to the ``total_bytes`` of a ``TrafficReport`` that
-    :func:`walk_block_traffic` fills (same walkers, same integer
-    additions) without building per-record objects.
-    """
-    rep = _SumTrafficReport()
-    walk_block_traffic(rep, net, sched, idx, options)
-    return rep.total_bytes
+        _fwd_unfused(rep, net, sched, idx, word_bytes)
+        _bwd_unfused(rep, net, sched, idx, word_bytes)
 
 
 def compute_traffic(
     net: Network,
     sched: Schedule,
-    options: TrafficOptions | None = None,
+    word_bytes: int = WORD_BYTES,
 ) -> TrafficReport:
-    """Total DRAM traffic of one training step under ``sched``."""
+    """Total DRAM traffic of one training step under ``sched``, with
+    ``word_bytes`` per tensor element (weights, features, gradients)."""
     if sched.num_blocks != len(net.blocks):
         raise ValueError(
             f"schedule covers {sched.num_blocks} blocks, network has "
             f"{len(net.blocks)}"
         )
-    opt = options or TrafficOptions()
     rep = TrafficReport()
     for idx in range(len(net.blocks)):
         if sched.block_fused(idx):
-            _fwd_fused(rep, net, sched, idx, opt)
+            _fwd_fused(rep, net, sched, idx, word_bytes)
         else:
-            _fwd_unfused(rep, net, sched, idx, opt)
+            _fwd_unfused(rep, net, sched, idx, word_bytes)
     for idx in reversed(range(len(net.blocks))):
         if sched.block_fused(idx):
-            _bwd_fused(rep, net, sched, idx, opt)
+            _bwd_fused(rep, net, sched, idx, word_bytes)
         else:
-            _bwd_unfused(rep, net, sched, idx, opt)
+            _bwd_unfused(rep, net, sched, idx, word_bytes)
     return rep

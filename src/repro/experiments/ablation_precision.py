@@ -8,7 +8,7 @@ win depends on the fp16 assumption.
 from __future__ import annotations
 
 from repro.core.policies import DEFAULT_BUFFER_BYTES, make_schedule
-from repro.core.traffic import TrafficOptions, compute_traffic
+from repro.core.traffic import compute_traffic
 from repro.experiments.common import network
 from repro.experiments.tables import fmt, format_table, gib
 from repro.runtime import ExperimentSpec, register
@@ -22,16 +22,15 @@ def run(networks: tuple[str, ...] = ("resnet50", "inception_v3"),
         net = network(name)
         per_word = {}
         for word_bytes in (2, 4):
-            opts = TrafficOptions(word_bytes=word_bytes)
             base = compute_traffic(
                 net,
                 make_schedule(net, "baseline", buffer_bytes,
                               word_bytes=word_bytes),
-                opts,
+                word_bytes,
             ).total_bytes
             sched = make_schedule(net, "mbs2", buffer_bytes,
                                   word_bytes=word_bytes)
-            mbs = compute_traffic(net, sched, opts).total_bytes
+            mbs = compute_traffic(net, sched, word_bytes).total_bytes
             per_word[word_bytes] = {
                 "baseline_bytes": base,
                 "mbs2_bytes": mbs,

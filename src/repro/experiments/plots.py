@@ -2,18 +2,6 @@
 from __future__ import annotations
 
 
-def sparkline(values: list[float], width: int | None = None) -> str:
-    """Compact one-line chart (Unicode block elements)."""
-    if not values:
-        return ""
-    blocks = "▁▂▃▄▅▆▇█"
-    lo, hi = min(values), max(values)
-    span = hi - lo or 1.0
-    return "".join(
-        blocks[int((v - lo) / span * (len(blocks) - 1))] for v in values
-    )
-
-
 def line_plot(
     series: dict[str, list[float]],
     height: int = 12,

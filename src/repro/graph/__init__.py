@@ -23,7 +23,7 @@ from repro.graph.serialize import (
     loads_network,
     network_fingerprint,
 )
-from repro.graph import render, stats
+from repro.graph import stats
 
 __all__ = [
     "Activation",

@@ -279,7 +279,8 @@ def network_from_dict(obj: Any) -> Network:
     Every structural invariant the graph IR enforces at construction
     (shape flow, merge arity, positive dims) re-runs here, so malformed
     user graphs fail with a :class:`GraphSchemaError` naming the JSON
-    path, never a deep traceback.
+    path, never a deep traceback — a graph nested deeper than the
+    decoder's recursion can follow included.
     """
     try:
         w = read_envelope(obj, "$",
@@ -297,6 +298,8 @@ def network_from_dict(obj: Any) -> Network:
         raise GraphSchemaError(str(exc)) from exc
     except ValueError as exc:  # the IR's own checks: blocks chain up
         raise GraphSchemaError(f"$: {exc}") from exc
+    except RecursionError:
+        raise GraphSchemaError("$: graph is nested too deeply") from None
 
 
 def loads_network(text: str) -> Network:
@@ -305,4 +308,6 @@ def loads_network(text: str) -> Network:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphSchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise GraphSchemaError("not valid JSON: nested too deeply") from None
     return network_from_dict(obj)

@@ -1,4 +1,4 @@
-"""Per-layer and per-block statistics (the raw material for Figs. 3 & 4)."""
+"""Per-layer statistics (the raw material for Fig. 3)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -38,36 +38,6 @@ def layer_stats(
                 inter_layer_bytes=inter,
                 param_bytes=layer.param_bytes(word_bytes),
                 macs=layer.macs_per_sample * n,
-            )
-        )
-    return out
-
-
-@dataclass(frozen=True)
-class BlockStat:
-    """Per-block record used by the grouping figure (paper Fig. 4)."""
-
-    name: str
-    is_module: bool
-    in_bytes_per_sample: int
-    out_bytes_per_sample: int
-    param_bytes: int
-    macs_per_sample: int
-
-
-def block_stats(net: Network, word_bytes: int = WORD_BYTES) -> list[BlockStat]:
-    out = []
-    for block in net.blocks:
-        out.append(
-            BlockStat(
-                name=block.name,
-                is_module=block.is_module,
-                in_bytes_per_sample=block.in_shape.bytes(word_bytes),
-                out_bytes_per_sample=block.out_shape.bytes(word_bytes),
-                param_bytes=sum(
-                    l.param_bytes(word_bytes) for l in block.all_layers()
-                ),
-                macs_per_sample=block.macs_per_sample,
             )
         )
     return out

@@ -167,7 +167,11 @@ class ResultCache:
         return manifest
 
     def store(self, manifest: Mapping[str, Any]) -> Path:
-        """Persist a manifest atomically (write-temp + rename)."""
+        """Persist a manifest atomically (write-temp + rename).
+
+        The manifest is encoded first, so one that cannot be encoded
+        touches no file."""
+        data = manifest_bytes(manifest)
         path = self.path(manifest["spec"], manifest["key"])
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -175,7 +179,7 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(manifest_bytes(manifest))
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

@@ -420,7 +420,9 @@ class JobQueue:
         ``store`` persists the validated manifest *before* the
         completion is journaled: if it raises, nothing is recorded and
         the point stays open, so a journaled ``done`` never names a
-        manifest that was lost.
+        manifest that was lost.  A repeat upload for a point that is
+        already done (a worker retrying an upload whose response was
+        lost) is acknowledged as it is: no store, no event, no counter.
         """
         self.expire()
         lease = self._lease(lease_id)
@@ -435,6 +437,8 @@ class JobQueue:
                 f"{point.key!r} — worker code or parameters out of sync "
                 f"with the coordinator"
             )
+        if point.state == DONE:
+            return point
         if store is not None:
             store(manifest)
         self._commit({"e": "complete", "lease_id": lease_id, "index": index})

@@ -104,6 +104,8 @@ class JobHost:
             )
         except KeyError as exc:
             raise ValueError(f"axes: {exc.args[0]}") from None
+        except RecursionError:  # keying a point jsonifies its values
+            raise ValueError("axes: a value is nested too deeply") from None
         return _job_status(job).to_wire()
 
     def job_wire(self, job_id: str) -> dict[str, Any]:
@@ -186,8 +188,11 @@ class JobHost:
                 f"manifest: expected a manifest object, got "
                 f"{type(manifest).__name__}"
             )
-        point = self.queue.complete(lease_id, index, manifest,
-                                    store=self._store_manifest)
+        try:
+            point = self.queue.complete(lease_id, index, manifest,
+                                        store=self._store_manifest)
+        except RecursionError:  # storing a manifest encodes it
+            raise ValueError("manifest: nested too deeply") from None
         return {"schema": api.SCHEMA_VERSION, "ok": True, "key": point.key}
 
     def _store_manifest(self, manifest: Mapping[str, Any]) -> None:

@@ -284,6 +284,10 @@ class Server:
             raise ValueError(
                 f"request body is not valid JSON: {exc}"
             ) from None
+        except RecursionError:
+            raise ValueError(
+                "request body is not valid JSON: nested too deeply"
+            ) from None
         if not isinstance(wire, dict):
             raise ValueError("request body must be a JSON object")
         return wire

@@ -17,11 +17,7 @@ MASK      max-pool indices written and read
 """
 from __future__ import annotations
 
-from repro.core.traffic import (
-    Category,
-    TrafficOptions,
-    compute_traffic,
-)
+from repro.core.traffic import Category, compute_traffic
 from repro.core.policies import make_schedule
 from repro.graph.layers import Pool, PoolKind
 from repro.graph.network import Network
@@ -33,7 +29,6 @@ def baseline_traffic_from_trace(
     net: Network,
     events: list[TraceEvent],
     word_bytes: int = WORD_BYTES,
-    norm_double_read: bool = True,
 ) -> dict[Category, int]:
     """Expected Baseline-schedule traffic per category, from real shapes."""
     maxpool_names = {
@@ -48,7 +43,7 @@ def baseline_traffic_from_trace(
     first_layer = fwd[0].layer if fwd else None
 
     for e in fwd:
-        factor = 2 if (e.kind == "norm" and norm_double_read) else 1
+        factor = 2 if e.kind == "norm" else 1
         out[Category.FEAT_RD] += factor * e.in_elems * wb
         out[Category.FEAT_WR] += e.out_elems * wb
         if e.kind in ("conv", "fc"):
@@ -68,8 +63,7 @@ def baseline_traffic_from_trace(
             out[Category.WGRAD_WR] += e.param_elems * wb
             out[Category.CHK_RD] += e.in_elems * wb
         elif e.kind == "norm":
-            factor = 2 if norm_double_read else 1
-            out[Category.CHK_RD] += factor * e.in_elems * wb
+            out[Category.CHK_RD] += 2 * e.in_elems * wb
             out[Category.PARAM] += 2 * e.param_elems * wb
         elif e.kind == "act":
             out[Category.CHK_RD] += e.out_elems * wb
@@ -91,6 +85,6 @@ def crosscheck_baseline(
     if any(b.is_module for b in net.blocks):
         raise ValueError("crosscheck_baseline requires a chain network")
     sched = make_schedule(net, "baseline", mini_batch=mini_batch)
-    analytic = compute_traffic(net, sched, TrafficOptions()).by_category()
+    analytic = compute_traffic(net, sched).by_category()
     traced = baseline_traffic_from_trace(net, events)
     return analytic, traced

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from repro.core.schedule import Schedule
-from repro.core.traffic import TrafficOptions, TrafficReport, compute_traffic
+from repro.core.traffic import TrafficReport, compute_traffic
 from repro.graph.network import Network
 from repro.wavecore.config import WaveCoreConfig, config_for_policy
 from repro.wavecore.energy import DEFAULT_ENERGY, EnergyParams, step_energy
@@ -37,7 +37,7 @@ def simulate_step(
     if cfg is None:
         cfg = config_for_policy(sched.policy)
     if traffic is None:
-        traffic = compute_traffic(net, sched, TrafficOptions())
+        traffic = compute_traffic(net, sched)
 
     dram_map = per_layer_dram(net, traffic)
 

@@ -23,7 +23,7 @@ from repro.core.policies import (
     POLICIES,
     make_schedule,
 )
-from repro.core.traffic import TrafficOptions, compute_traffic
+from repro.core.traffic import compute_traffic
 from repro.graph.serialize import network_fingerprint, network_to_dict
 from repro.types import KIB, MIB
 from repro.wavecore.config import config_for_policy
@@ -42,7 +42,7 @@ FIXED_POLICIES = tuple(p for p in POLICIES if p != "mbs-auto")
 def _reference(res, net, cfg, word_bytes=2):
     """``res`` with every number recomputed by ``compute_traffic`` +
     ``simulate_step`` on its schedule: what the facade must equal."""
-    rep = compute_traffic(net, res.schedule, TrafficOptions(word_bytes))
+    rep = compute_traffic(net, res.schedule, word_bytes)
     step = simulate_step(net, res.schedule, cfg, traffic=rep)
     return dataclasses.replace(
         res,
@@ -139,7 +139,7 @@ def test_word_bytes_prices_what_the_dp_minimized():
     sched = make_schedule(net, "mbs-auto", buffer_bytes=MIB, word_bytes=4)
     assert res.schedule == sched
     assert res.word_bytes == 4
-    rep = compute_traffic(net, sched, TrafficOptions(word_bytes=4))
+    rep = compute_traffic(net, sched, 4)
     step = simulate_step(net, sched, cfg, traffic=rep)
     assert res.traffic_bytes == rep.total_bytes
     assert res.step_time_s == step.time_s

@@ -87,7 +87,8 @@ class TestTrafficCostModelConsistency:
         sched = make_schedule(net, "baseline")
         model = TrafficCostModel.for_schedule(net, sched)
         per_block = [
-            model.streaming_cost(i) for i in range(len(net.blocks))
+            model.group_cost((i,), 0, False, block_fused=(False,))
+            for i in range(len(net.blocks))
         ]
         assert sum(per_block) == compute_traffic(net, sched).total_bytes
 
@@ -182,9 +183,6 @@ class TestMbsAuto:
     def test_guarantee_holds_at_fp32_word_size(self, nets):
         """The DP's cost model must follow the caller's word size (the
         precision-ablation pattern), not the default fp16."""
-        from repro.core.traffic import TrafficOptions
-
-        opt = TrafficOptions(word_bytes=4)
         for name in ("resnet50", "toy_inception"):
             net = nets[name]
             for buf in (16 * KIB, 5 * MIB):
@@ -192,7 +190,7 @@ class TestMbsAuto:
                     p: compute_traffic(
                         net,
                         make_schedule(net, p, buffer_bytes=buf, word_bytes=4),
-                        opt,
+                        4,
                     ).total_bytes
                     for p in ("mbs-auto", "mbs1", "mbs2")
                 }

@@ -329,7 +329,7 @@ class TestPredictionExactness:
         model = EnergyCostModel.for_schedule(net, sched)
         total = 0.0
         for i in range(len(net.blocks)):
-            total += model.streaming_cost(i)
+            total += model.group_cost((i,), 0, False, block_fused=(False,))
         assert total == pytest.approx(
             simulate_step(net, sched).energy.total_j, rel=1e-12
         )
@@ -555,9 +555,9 @@ class TestMemoCounters:
 
     def test_streaming_cost_is_the_spilled_group_probe(self):
         memo = MemoizedCostModel(_CountingModel())
-        assert memo.streaming_cost(5) == memo.group_cost(
+        assert memo.group_cost(
             (5,), 0, False, block_fused=(False,)
-        )
+        ) == memo.group_cost((5,), 0, False, block_fused=(False,))
         assert memo.hits == 1  # the second probe hit the first's entry
 
     def test_sweep_caches_accumulate_search_counters(self, nets=None):

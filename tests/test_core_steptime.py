@@ -2,7 +2,8 @@
 the simulator.
 
 The contract mirrors the traffic cost model's: per-block prices from
-:mod:`repro.core.steptime` must reassemble into *exactly* the step time
+:class:`repro.core.steptime.BlockPricer` must reassemble into *exactly*
+the step time
 :func:`repro.wavecore.simulator.simulate_step` reports — same walkers,
 same per-layer timing, same float association — for every policy, every
 buffer size, and both hardware double-buffering modes.
@@ -12,10 +13,9 @@ import pytest
 from repro.core.cost import LatencyCostModel
 from repro.core.policies import POLICIES, make_schedule
 from repro.core.schedule import Schedule, make_group
-from repro.core.steptime import BlockPricer, schedule_step_time
+from repro.core.steptime import BlockPricer
 from repro.core.subbatch import per_block_sub_batches
-from repro.core.traffic import TrafficOptions
-from repro.types import KIB, MIB
+from repro.types import KIB, MIB, WORD_BYTES
 from repro.wavecore.config import (
     BASELINE_CONFIG,
     DEFAULT_CONFIG,
@@ -34,6 +34,12 @@ def nets():
     return {name: build(name) for name in NETWORKS}
 
 
+def _step_time(net, sched, cfg):
+    """A finished schedule's step time from its per-block records."""
+    pricer = BlockPricer.shared(net, sched.mini_batch, cfg)
+    return pricer.schedule_totals(sched, WORD_BYTES).seconds
+
+
 def _singleton_schedule(net, sub_batches, mini_batch, feasible):
     """Every block its own fused group (single-block groups throughout)."""
     groups = tuple(
@@ -48,7 +54,8 @@ def _singleton_schedule(net, sub_batches, mini_batch, feasible):
 
 
 class TestScheduleStepTime:
-    """schedule_step_time == simulate_step(...).time_s, bit-for-bit."""
+    """schedule_totals(...).seconds == simulate_step(...).time_s,
+    bit-for-bit."""
 
     @pytest.mark.parametrize("net_name", NETWORKS)
     @pytest.mark.parametrize("policy", POLICIES)
@@ -57,7 +64,7 @@ class TestScheduleStepTime:
         for buf in BUFFERS:
             sched = make_schedule(net, policy, buffer_bytes=buf)
             cfg = config_for_policy(policy, buffer_bytes=buf)
-            assert schedule_step_time(net, sched, cfg) == simulate_step(
+            assert _step_time(net, sched, cfg) == simulate_step(
                 net, sched, cfg
             ).time_s, (policy, buf)
 
@@ -73,15 +80,16 @@ class TestScheduleStepTime:
         net = nets["toy_chain"]
         sched = make_schedule(net, "baseline")
         # baseline hardware has no weight double buffer; the bridge must
-        # pick the same config the simulator picks
-        assert schedule_step_time(net, sched) == simulate_step(
+        # price on the same config the simulator picks
+        cfg = config_for_policy(sched.policy)
+        assert _step_time(net, sched, cfg) == simulate_step(
             net, sched
         ).time_s
 
     def test_mismatched_schedule_raises(self, nets):
         sched = make_schedule(nets["resnet50"], "mbs1")
         with pytest.raises(ValueError):
-            schedule_step_time(nets["toy_chain"], sched)
+            _step_time(nets["toy_chain"], sched, DEFAULT_CONFIG)
 
     def test_mismatched_schedule_records_raise(self, nets):
         """The evaluator's record path keeps compute_traffic's guard."""
@@ -90,17 +98,7 @@ class TestScheduleStepTime:
             nets["toy_chain"], sched.mini_batch, DEFAULT_CONFIG
         )
         with pytest.raises(ValueError, match="schedule covers"):
-            pricer.schedule_records(sched, TrafficOptions())
-
-    def test_unlimited_bandwidth_matches_and_is_faster(self, nets):
-        net = nets["toy_inception"]
-        sched = make_schedule(net, "mbs2", buffer_bytes=1 * MIB)
-        cfg = config_for_policy("mbs2", buffer_bytes=1 * MIB)
-        free = schedule_step_time(net, sched, cfg, unlimited_bandwidth=True)
-        assert free == simulate_step(
-            net, sched, cfg, unlimited_bandwidth=True
-        ).time_s
-        assert free <= schedule_step_time(net, sched, cfg)
+            pricer.schedule_records(sched, WORD_BYTES)
 
 
 class TestLatencyCostModel:
@@ -149,7 +147,7 @@ class TestLatencyCostModel:
         model = LatencyCostModel.for_schedule(net, sched)
         total = 0.0
         for i in range(len(net.blocks)):
-            total += model.streaming_cost(i)
+            total += model.group_cost((i,), 0, False, block_fused=(False,))
         assert total == simulate_step(net, sched).time_s
 
     def test_schedule_cost_rejects_mismatched_environment(self, nets):
@@ -180,7 +178,7 @@ class TestEdgeCases:
         assert all(s >= 1 for s in feasible)
         sched = _singleton_schedule(net, feasible, mini_batch, feasible)
         cfg = DEFAULT_CONFIG
-        assert schedule_step_time(net, sched, cfg) == simulate_step(
+        assert _step_time(net, sched, cfg) == simulate_step(
             net, sched, cfg
         ).time_s
 
@@ -192,7 +190,7 @@ class TestEdgeCases:
         feasible = [3] * len(net.blocks)
         sched = _singleton_schedule(net, feasible, mini_batch, feasible)
         cfg = DEFAULT_CONFIG
-        assert schedule_step_time(net, sched, cfg) == simulate_step(
+        assert _step_time(net, sched, cfg) == simulate_step(
             net, sched, cfg
         ).time_s
 
@@ -204,8 +202,8 @@ class TestEdgeCases:
         net = nets["toy_inception"]
         sched = make_schedule(net, "mbs2", buffer_bytes=40 * MIB)
         assert max(len(g.blocks) for g in sched.groups) > 1
-        with_db = schedule_step_time(net, sched, DEFAULT_CONFIG)
-        without_db = schedule_step_time(net, sched, BASELINE_CONFIG)
+        with_db = _step_time(net, sched, DEFAULT_CONFIG)
+        without_db = _step_time(net, sched, BASELINE_CONFIG)
         assert with_db == simulate_step(net, sched, DEFAULT_CONFIG).time_s
         assert without_db == simulate_step(net, sched, BASELINE_CONFIG).time_s
         assert with_db <= without_db
@@ -217,7 +215,8 @@ class TestEdgeCases:
         sched = make_schedule(net, "baseline")
         model = LatencyCostModel.for_schedule(net, sched)
         per_block = [
-            model.streaming_cost(i) for i in range(len(net.blocks))
+            model.group_cost((i,), 0, False, block_fused=(False,))
+            for i in range(len(net.blocks))
         ]
         by_block: dict[str, float] = {}
         for lt in simulate_step(net, sched).layers:
@@ -225,3 +224,112 @@ class TestEdgeCases:
         assert per_block[0] == pytest.approx(
             by_block[net.blocks[0].name], rel=1e-12
         )
+
+
+class TestOnePricePerNetwork:
+    """Every per-block price lives on the network's pricer, so a block
+    situation is walked once per network, whichever DP call, objective
+    or evaluation asks for it first."""
+
+    BUFFERS = (64 * KIB, 1 * MIB)
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        import repro.core.steptime as steptime
+
+        count = [0]
+        real = steptime.walk_block_traffic
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(steptime, "walk_block_traffic", counting)
+        return count
+
+    def _price_all(self, net, walks):
+        from repro import api
+        from repro.core.policies import OBJECTIVES
+
+        before = walks[0]
+        for buffer_bytes in self.BUFFERS:
+            for objective in OBJECTIVES:
+                api.price(net, "mbs-auto", buffer_bytes=buffer_bytes,
+                          objective=objective)
+        return walks[0] - before
+
+    def test_second_pass_walks_nothing(self, walks):
+        net = build("toy_inception")
+        first = self._price_all(net, walks)
+        assert first > 0
+        assert self._price_all(net, walks) == 0
+
+    def test_cleared_network_walks_like_a_fresh_one(self, walks):
+        from repro.core.policies import clear_pricing_caches
+
+        net = build("toy_inception")
+        first = self._price_all(net, walks)
+        clear_pricing_caches(net)
+        assert self._price_all(net, walks) == first
+        assert self._price_all(build("toy_inception"), walks) == first
+
+    def test_floor_probe_reuses_an_interior_probe(self, walks):
+        """``block_floor`` and ``group_cost`` name one situation alike: a
+        block already priced interior to a fused group (both edges
+        on-chip) is not walked again by its floor probe."""
+        net = build("toy_chain")
+        model = LatencyCostModel(net, 16)
+        blocks = tuple(range(len(net.blocks)))
+        inside = model.group_cost(blocks, 4, False)
+        assert inside > 0
+        before = walks[0]
+        for idx in blocks[1:-1]:
+            assert model.block_floor(idx, (), (4,)) > 0
+        assert walks[0] == before
+
+    def test_each_energy_calibration_has_its_own_joules(self):
+        """The joules memo keys on ``EnergyParams``: one network priced
+        under two calibrations in turn matches a fresh network under
+        each."""
+        from repro.core.cost import EnergyCostModel
+        from repro.wavecore.energy import DEFAULT_ENERGY, EnergyParams
+
+        other = EnergyParams(
+            mac_pj=5.5, zero_input_fraction=0.3, zero_skip_saving=0.7,
+            gbuf_pj_per_byte=1.7, static_w=4.9,
+        )
+        sched = make_schedule(build("toy_inception"), "mbs2",
+                              buffer_bytes=1 * MIB)
+        cfg = config_for_policy("mbs2", buffer_bytes=1 * MIB)
+
+        def group_joules(net, params):
+            model = EnergyCostModel.for_schedule(net, sched, cfg=cfg,
+                                                 params=params)
+            return [
+                model.group_cost(g.blocks, g.sub_batch,
+                                 sched.branch_reuse_of(g.blocks[0]),
+                                 g.block_fused)
+                for g in sched.groups
+            ]
+
+        shared = build("toy_inception")
+        default = group_joules(shared, DEFAULT_ENERGY)
+        calibrated = group_joules(shared, other)
+        assert calibrated != default
+        assert calibrated == group_joules(build("toy_inception"), other)
+        assert group_joules(shared, DEFAULT_ENERGY) == default
+
+    def test_traffic_search_reads_no_hardware(self, monkeypatch):
+        """Byte walks need no compute profile and no global-buffer
+        count: a traffic-objective ``mbs-auto`` search on a fresh
+        network asks the pricer for neither."""
+
+        def forbidden(self, idx, sub_batch):
+            raise AssertionError("the traffic objective read hardware")
+
+        monkeypatch.setattr(BlockPricer, "profile", forbidden)
+        monkeypatch.setattr(BlockPricer, "gbuf_bytes", forbidden)
+        net = build("toy_inception")
+        for buffer_bytes in (16 * KIB, *self.BUFFERS):
+            sched = make_schedule(net, "mbs-auto", buffer_bytes=buffer_bytes)
+            assert sched.num_blocks == len(net.blocks)

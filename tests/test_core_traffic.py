@@ -5,7 +5,6 @@ from repro.core.policies import make_schedule
 from repro.core.traffic import (
     Category,
     Phase,
-    TrafficOptions,
     compute_traffic,
 )
 from repro.graph.blocks import chain_block
@@ -130,9 +129,8 @@ class TestFusedHandComputed:
 
 class TestIterationScaling:
     def test_weight_traffic_scales_with_iterations(self, rn50):
-        opts = TrafficOptions()
-        fs = compute_traffic(rn50, make_schedule(rn50, "mbs-fs"), opts)
-        m2 = compute_traffic(rn50, make_schedule(rn50, "mbs2"), opts)
+        fs = compute_traffic(rn50, make_schedule(rn50, "mbs-fs"))
+        m2 = compute_traffic(rn50, make_schedule(rn50, "mbs2"))
         # MBS-FS iterates deep heavy layers far more often
         assert fs.by_category()[Category.WEIGHT_RD] > \
             m2.by_category()[Category.WEIGHT_RD]

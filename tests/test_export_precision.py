@@ -106,16 +106,16 @@ def test_export_all_writes_file(tmp_path, monkeypatch):
 def test_word_size_scales_module_leaf_traffic():
     """Regression: fp32 must scale ADD-merge leaf spills too (MBS1)."""
     from repro.core.policies import make_schedule
-    from repro.core.traffic import TrafficOptions, compute_traffic
+    from repro.core.traffic import compute_traffic
     from repro.zoo import toy_residual
 
     net = toy_residual()
     t2 = compute_traffic(
         net, make_schedule(net, "mbs1", word_bytes=2),
-        TrafficOptions(word_bytes=2),
+        2,
     ).total_bytes
     t4 = compute_traffic(
         net, make_schedule(net, "mbs1", word_bytes=4),
-        TrafficOptions(word_bytes=4),
+        4,
     ).total_bytes
     assert 1.7 < t4 / t2 < 2.1

@@ -4,6 +4,8 @@
   ``mbs-repro schedule --graph``: each row is a 400 (exit 1) whose
   error names the offending path, prices nothing, counts no error,
   writes nothing to the serve cache and memoizes nothing;
+* JSON nested deeper than the decoders can follow (``DEEP_ARRAY``,
+  ``DEEP_GRAPH``) is the same 400 (exit 1), never a 500 or a traceback;
 * a hypothesis property over every zoo graph: any JSON value at any
   path, or a key dropped or added at any object, makes
   ``network_from_dict`` return a ``Network`` or raise
@@ -27,6 +29,7 @@ from repro.experiments.runner import main
 from repro.graph.network import Network
 from repro.graph.serialize import (
     GraphSchemaError,
+    loads_network,
     network_from_dict,
     network_to_dict,
 )
@@ -54,6 +57,21 @@ def _edit(change):
 def _layer(graph, block):
     return graph["blocks"][block]["branches"][0]["layers"][0]
 
+
+def _deep_graph_text(levels: int = 450) -> str:
+    """toy_inception's wire graph, ~17 KB, whose first branch nests
+    ``children`` ``levels`` deep: valid JSON that json parses.  Built as
+    text, so writing it needs no recursion."""
+    graph = network_to_dict(build("toy_inception"))
+    graph["blocks"][0]["branches"][0]["children"] = "CHILDREN"
+    nested = ('[{"layers":[],"children":' * levels + "[]"
+              + "}]" * levels)
+    return json.dumps(graph).replace('"CHILDREN"', nested)
+
+
+#: 100,000 ``[`` then 100,000 ``]``: a 200 KB body json cannot parse.
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+DEEP_GRAPH = _deep_graph_text()
 
 #: (id, graph, needle): every graph here was accepted and priced, or
 #: answered 500, before the graph decoder read through repro.wire.
@@ -110,6 +128,27 @@ def test_hostile_graph_file_is_exit_1(capsys, tmp_path, graph, needle):
     path.write_text(json.dumps(graph))
     assert main(["schedule", "--graph", str(path)]) == 1
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [DEEP_ARRAY, DEEP_GRAPH],
+                         ids=["deep-array", "deep-graph"])
+def test_graph_file_nested_too_deeply_is_exit_1(capsys, tmp_path, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    assert main(["schedule", "--graph", str(path)]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_graph_nested_too_deeply_is_a_schema_error():
+    with pytest.raises(GraphSchemaError, match="nested too deeply"):
+        network_from_dict(json.loads(DEEP_GRAPH))
+
+
+@pytest.mark.parametrize("text", [DEEP_ARRAY, DEEP_GRAPH],
+                         ids=["deep-array", "deep-graph"])
+def test_loads_network_nested_too_deeply_is_a_schema_error(text):
+    with pytest.raises(GraphSchemaError, match="nested too deeply"):
+        loads_network(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Unit tests for footprint statistics (Fig. 3 raw material)."""
-from repro.graph.stats import block_stats, layer_stats, reusable_fraction
+from repro.graph.stats import layer_stats, reusable_fraction
 from repro.types import MIB
 
 
@@ -25,13 +25,6 @@ def test_layer_stats_inter_layer_is_in_plus_out(chain_net):
         assert stat.inter_layer_bytes == (
             layer.in_shape.bytes() + layer.out_shape.bytes()
         )
-
-
-def test_block_stats_fields(residual_net):
-    stats = block_stats(residual_net)
-    assert len(stats) == len(residual_net.blocks)
-    res = [s for s in stats if s.is_module]
-    assert len(res) == 2  # the two residual blocks
 
 
 def test_reusable_fraction_monotone_in_buffer(rn50):

@@ -1,53 +1,7 @@
-"""Presentation helpers: network rendering, ASCII plots, tables."""
+"""Presentation helpers: ASCII plots, tables."""
 
-from repro.experiments.plots import line_plot, sparkline
+from repro.experiments.plots import line_plot
 from repro.experiments.tables import fmt, format_table, gib, mib
-from repro.graph.render import render_block, render_network, summary_table
-
-
-class TestRender:
-    def test_network_summary_lines(self, residual_net):
-        text = render_network(residual_net)
-        assert "toy_residual" in text
-        assert text.count("\n") == len(residual_net.blocks)
-        assert "module" in text and "chain" in text
-
-    def test_detail_mode_lists_layers(self, residual_net):
-        text = render_network(residual_net, detail=True)
-        for layer in residual_net.all_layers():
-            if layer.kind.value in ("conv", "fc"):
-                assert layer.name in text
-
-    def test_block_diagram_shows_branches(self, residual_net):
-        module = next(b for b in residual_net.blocks if b.is_module)
-        text = render_block(module)
-        assert "branch[0]" in text and "branch[1]" in text
-        assert "merge: add" in text
-
-    def test_identity_marked(self, residual_net):
-        module = residual_net.block_named("res1")
-        assert "(identity)" in render_block(module)
-
-    def test_fork_rendered(self, inception_net):
-        text = render_block(inception_net.block_named("mix"))
-        assert "fork[0]" in text and "fork[1]" in text
-
-    def test_summary_table_fields(self, chain_net):
-        rows = summary_table(chain_net)
-        assert len(rows) == len(chain_net.blocks)
-        assert sum(r["params"] for r in rows) == chain_net.param_count
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        s = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert s == "▁▂▃▄▅▆▇█"
-
-    def test_constant_series(self):
-        assert sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
 
 
 class TestLinePlot:

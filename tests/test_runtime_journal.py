@@ -21,7 +21,14 @@ import pytest
 
 from repro.runtime.cache import spec_fingerprint
 from repro.runtime.journal import Journal, JournalError
-from repro.runtime.queue import DONE, LEASED, PENDING, POISONED, JobQueue
+from repro.runtime.queue import (
+    DONE,
+    LEASED,
+    PENDING,
+    POISONED,
+    JobQueue,
+    RejectedManifest,
+)
 from repro.runtime.spec import ExperimentSpec, expand_grid
 
 
@@ -297,6 +304,7 @@ class TestQueueReplay:
             tmp_path, max_attempts=2,
             snapshot_every=rng.choice([2, 5, 10_000]))
         live = []  # (lease, points) with work possibly outstanding
+        uploaded = []  # (lease, point) pairs completed once already
         for step in range(40):
             op = rng.random()
             if op < 0.15:
@@ -319,16 +327,25 @@ class TestQueueReplay:
                         if rng.random() < 0.7:
                             queue.complete(lease.lease_id, point.index,
                                            manifest_for(point))
+                            uploaded.append((lease, point))
                         else:
                             queue.fail(lease.lease_id, point.index,
                                        "injected")
                     except Exception:
                         pass  # lease expired mid-history: fine
-            elif op < 0.85 and live:
+            elif op < 0.8 and live:
                 try:
                     queue.heartbeat(rng.choice(live)[0].lease_id)
                 except Exception:
                     pass
+            elif op < 0.9 and uploaded:
+                # a worker retrying an upload whose response was lost
+                lease, point = rng.choice(uploaded)
+                try:
+                    queue.complete(lease.lease_id, point.index,
+                                   manifest_for(point))
+                except Exception:
+                    pass  # its lease was pruned with a finished job
             else:
                 clock.advance(rng.choice([1.0, 11.0]))
                 queue.expire()
@@ -386,6 +403,67 @@ OLD_JOURNAL = (
     '{"e": "complete", "index": 1, "lease_id": "lease-1", "n": 9}\n'
     '{"e": "expire", "lease_id": "lease-1", "n": 10}\n'
 )
+
+
+#: ``journal.jsonl`` as the queue wrote it while a repeat upload still
+#: journaled a second ``complete``: one job over GRID[:2], both points
+#: leased to lease-1, point 0 uploaded twice, then point 1.
+REPEAT_JOURNAL = (
+    '{"e": "submit", "job_id": "job-1", "lease_timeout_s": 10.0, '
+    '"max_attempts": 3, "n": 1, "points": [{"index": 0, "key": '
+    '"9c9fadf091c9fbaeec158448", "overrides": {"x": 0, "y": 1}, '
+    '"params": {"x": 0, "y": 1}, "state": "pending"}, {"index": 1, '
+    '"key": "18c7cb903908733ab4059c0a", "overrides": {"x": 0, "y": 2}, '
+    '"params": {"x": 0, "y": 2}, "state": "pending"}], "quick": false, '
+    '"spec": "jtest"}\n'
+    '{"e": "lease", "indexes": [0, 1], "job_id": "job-1", "lease_id": '
+    '"lease-1", "lease_timeout_s": 10.0, "n": 2, "worker": "w1"}\n'
+    '{"e": "complete", "index": 0, "lease_id": "lease-1", "n": 3}\n'
+    '{"e": "complete", "index": 0, "lease_id": "lease-1", "n": 4}\n'
+    '{"e": "complete", "index": 1, "lease_id": "lease-1", "n": 5}\n'
+)
+
+
+class TestRepeatUpload:
+    def test_repeat_complete_records_nothing(self, tmp_path):
+        queue, clock, _ = make_journaled_queue(tmp_path)
+        queue.submit(SPEC, GRID[:2])
+        _, lease, points = queue.lease("w1", max_points=2)
+        stored = []
+        queue.complete(lease.lease_id, points[0].index,
+                       manifest_for(points[0]), store=stored.append)
+        journal = (tmp_path / "state" / "journal.jsonl").read_bytes()
+        stats = queue.stats()
+        again = queue.complete(lease.lease_id, points[0].index,
+                               manifest_for(points[0]), store=stored.append)
+        assert (again.state, again.key) == (DONE, points[0].key)
+        assert len(stored) == 1
+        assert (tmp_path / "state" / "journal.jsonl").read_bytes() == journal
+        assert queue.stats() == stats
+
+    def test_repeat_with_a_wrong_key_is_still_rejected(self, tmp_path):
+        queue, clock, _ = make_journaled_queue(tmp_path)
+        queue.submit(SPEC, GRID[:2])
+        _, lease, points = queue.lease("w1", max_points=2)
+        queue.complete(lease.lease_id, points[0].index,
+                       manifest_for(points[0]))
+        with pytest.raises(RejectedManifest):
+            queue.complete(lease.lease_id, points[0].index,
+                           {**manifest_for(points[0]), "key": "x"})
+        assert queue.manifests_rejected == 1
+
+    def test_restores_a_journaled_repeat_complete(self, tmp_path):
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "journal.jsonl").write_text(REPEAT_JOURNAL)
+        queue = JobQueue.restore(
+            Journal(state, fsync=False), specs=get_test_spec,
+            clock=FakeClock(), expire_outstanding=False, compact=False)
+        job = queue.jobs["job-1"]
+        assert [p.state for p in job.points] == [DONE, DONE]
+        assert job.state == "done"
+        assert queue.points_completed == 2
+        assert queue.leases == {}
 
 
 class TestOldStateDir:

@@ -4,8 +4,8 @@
   decoder calls;
 * a hostile-body table over every POST route of a live coordinator:
   each row is a 400 whose ``error`` names the field, never a 500 or a
-  dropped connection, and leaves the serve cache and the queue's
-  journal unchanged;
+  dropped connection, counts no engine ``errors``, and leaves the
+  serve cache and the queue's journal unchanged;
 * a job route whose manifest store fails answers 500 and loses no
   point;
 * a hypothesis property: any JSON value put in place of any field of a
@@ -31,6 +31,7 @@ from repro.runtime.spec import get_spec
 from repro.serve import JobHost, ScheduleEngine, Server
 from repro.wire import read_bool, read_choice, read_ints, read_list
 from repro.zoo import build
+from test_graph_boundary import DEEP_ARRAY, DEEP_GRAPH
 
 AXES = {"net_name": ["resnet50"], "mini_batch": [16], "buffer_mib": [5, 10]}
 SCHEDULE = {"schema": 1, "network": "toy_chain", "policy": "mbs2",
@@ -214,7 +215,9 @@ def _graph(schema):
 
 
 #: (route, body, status, needle).  ``<lease>`` in a route is a live
-#: lease; ``INDEX`` in a body is the index of one of its points.
+#: lease; ``INDEX`` in a body, or ``<index>`` in a body string, is the
+#: index of one of its points, and ``<key>`` in a body string is that
+#: point's key.
 INDEX = object()
 HOSTILE = [
     # POST /v1/schedule
@@ -276,6 +279,23 @@ HOSTILE = [
      "schema"),
     ("/v1/lease/<lease>/fail",
      {"schema": 1, "index": INDEX, "error": ""}, 400, "error"),
+    # nested too deeply, on every POST route (appended, so the rows
+    # above keep their ids)
+    ("/v1/schedule", DEEP_ARRAY, 400, "nested too deeply"),
+    ("/v1/schedule", '{"schema": 1, "policy": "mbs2", "graph": %s}'
+     % DEEP_GRAPH, 400, "nested too deeply"),
+    ("/v1/jobs", DEEP_ARRAY, 400, "nested too deeply"),
+    ("/v1/jobs", '{"schema": 1, "artifact": "fig3", "axes": {"mini_batch": '
+     '[%s]}}' % DEEP_GRAPH, 400, "axes: a value is nested too deeply"),
+    ("/v1/lease", DEEP_ARRAY, 400, "nested too deeply"),
+    ("/v1/lease/<lease>/heartbeat", DEEP_ARRAY, 400, "nested too deeply"),
+    ("/v1/lease/<lease>/complete", DEEP_ARRAY, 400, "nested too deeply"),
+    ("/v1/lease/<lease>/fail", DEEP_ARRAY, 400, "nested too deeply"),
+    # a manifest json parses but the cache cannot encode
+    ("/v1/lease/<lease>/complete",
+     '{"schema": 1, "index": <index>, "manifest": {"spec": "fig3", '
+     '"key": "<key>", "artifact": %s}}' % ("[" * 600 + "]" * 600), 400,
+     "manifest: nested too deeply"),
 ]
 
 
@@ -293,18 +313,26 @@ def test_hostile_body_is_rejected_without_side_effects(
         st, grant = _call(port, "POST", "/v1/lease",
                           {"schema": 1, "worker": "w1"})
         lease = grant["lease"]
+        point = lease["points"][0]["index"]
+        key = host.queue.jobs[lease["job_id"]].points[point].key
         path = route.replace("<lease>", lease["lease_id"])
-        wire = body if isinstance(body, str) else {
-            k: lease["points"][0]["index"] if v is INDEX else v
-            for k, v in body.items()
-        }
+        if isinstance(body, str):
+            wire = body.replace("<index>", str(point)).replace("<key>", key)
+        else:
+            wire = {k: point if v is INDEX else v for k, v in body.items()}
         before = _tree(tmp_path)
+        errors = _call(port, "GET", "/v1/stats")[1]["errors"]
         answer = _call(port, "POST", path, wire)
-        return answer, before, _tree(tmp_path)
+        errors -= _call(port, "GET", "/v1/stats")[1]["errors"]
+        return answer, before, _tree(tmp_path), errors
 
-    (got, error), before, after = run(_with_coordinator(fn, tmp_path))
+    # the coordinator stores manifests in a result cache, as
+    # `mbs-repro serve` does
+    (got, error), before, after, errors = run(_with_coordinator(
+        fn, tmp_path, coord_cache=ResultCache(tmp_path / "coord-cache")))
     assert got == status, error
     assert needle in error["error"]
+    assert errors == 0, "a rejected body counted an engine error"
     assert after == before, "a rejected body changed the cache or journal"
 
 
